@@ -26,8 +26,10 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ("exact-cold", "branch-sweep", "verify-oracle", "cli-short")
-#: set-up samples per timed run; the median is reported as setup_s
-SETUPS = 5
+#: set-up-only workers before and after the timed one; the median of all
+#: their set-ups is reported as setup_s, sampled on both sides of the run
+#: because the machine's speed drifts over tens of seconds
+SETUPS_AROUND = 4
 #: one run must finish within this many seconds, including every set-up
 DEADLINE_S = 170.0
 
@@ -106,9 +108,11 @@ def main() -> int:
             extra = {"tracing_overhead": metrics["trace.overhead_ratio"]}
         else:
             setups = []
-            for mode in ["setup"] * (SETUPS - 1) + ["timed"]:
-                start, result = spawn(args, mode, deadline)
-                setups.append(result["ready"] - start)
+            for mode in ["setup"] * SETUPS_AROUND + ["timed"] + ["setup"] * SETUPS_AROUND:
+                start, outcome = spawn(args, mode, deadline)
+                setups.append(outcome["ready"] - start)
+                if mode == "timed":
+                    result = outcome
             metrics = {"setup_s": statistics.median(setups), **result["metrics"]}
             extra = {"setup_samples_s": setups}
     except RunFailed as exc:

@@ -5,8 +5,11 @@ binds it, by a wrapper that opens a span named after its layer operation
 (``pipoly.arith``, ``recurrence.cos_moment``, ...).  A span's self time is
 its duration minus the time covered by its child spans.  Spans are folded
 into per-operation totals as they close, so memory stays flat however many
-PiPoly operations a request performs.  ``uninstall`` puts every original
-object back; nothing under ``src/`` is edited.
+PiPoly operations a request performs.  Only calls made inside a request are
+traced.  Counters (coefficient bits, panels, arches, ...) are read off the
+arguments and results once a span has closed; the time that takes is left
+out of every self time and of the request time.  ``uninstall`` puts every
+original object back; nothing under ``src/`` is edited.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ class Tracer:
         self.calls = {op: 0 for op in (ROOT, *OPERATIONS)}
         self.self_ns = {op: 0 for op in (ROOT, *OPERATIONS)}
         self.request_ns = 0
+        self.observe_ns = 0
         self.counters = {
             "panels": 0, "arches": 0, "oracles": 0, "unconverged": 0,
             "cache_hits": 0, "cache_misses": 0, "cache_size_max": 0, "coeff_bits_max": 0,
@@ -96,35 +100,52 @@ class Tracer:
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
+            if not self._stack:  # only calls inside a request are traced
+                return fn(*args, **kwargs)
             frame = self._enter(op)
             try:
                 result = fn(*args, **kwargs)
             finally:
                 self._exit(frame)
             if observe is not None:
+                # Observer time counts as a child of the caller's span, so it
+                # is nobody's self time; request_s leaves it out.
+                start = time.perf_counter_ns()
                 observe(args, result)
+                spent = time.perf_counter_ns() - start
+                self.observe_ns += spent
+                self._stack[-1][2] += spent
             return result
 
         return traced
 
     def _observer(self, op: str):
-        # Oracle counters are read off the results, after the span has closed.
+        # Counters are read off arguments and results, after the span has closed.
         counters = self.counters
+
+        def arith(args, result):
+            if result is not NotImplemented:
+                bits = max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in result.coeffs),
+                           default=0)
+                if bits > counters["coeff_bits_max"]:
+                    counters["coeff_bits_max"] = bits
 
         def finite(args, result):
             counters["panels"] += result.subdivisions
-            if not self._stack or self._stack[-1][0] != "quadrature.halfline":
+            if self._stack[-1][0] == "quadrature.halfline":
+                counters["arches"] += 1
+            else:
                 oracle(args, result)
 
         def halfline(args, result):
-            counters["arches"] += args[0].max_arches
+            counters["arches"] -= 1  # its first finite integral is the head, not an arch
             oracle(args, result)
 
         def oracle(args, result):
             counters["oracles"] += 1
             counters["unconverged"] += not result.converged
 
-        return {"quadrature.finite": finite, "quadrature.halfline": halfline}.get(op)
+        return {"pipoly.arith": arith, "quadrature.finite": finite, "quadrature.halfline": halfline}.get(op)
 
     # -- installation ------------------------------------------------------
 
@@ -171,9 +192,6 @@ class Tracer:
         self.counters["cache_misses"] += misses - self._cache_base[1]
         self.counters["cache_size_max"] = max(self.counters["cache_size_max"], size)
         self._cache_base = (hits, misses)
-
-    def note_bits(self, bits: int) -> None:
-        self.counters["coeff_bits_max"] = max(self.counters["coeff_bits_max"], bits)
 
     # -- summary -----------------------------------------------------------
 

@@ -53,7 +53,6 @@ def drive(wl, rounds, *, call, prepare, tracer=None, seconds=None):
             latencies.append(time.perf_counter() - start)
             if tracer is not None:
                 tracer.checkpoint_caches()
-                tracer.note_bits(wl.bits(output))
             records.append((request, wl.record(request, output)))
         if seconds is not None and sum(latencies) * (1 + 0.5 / count) >= seconds:
             break
@@ -153,7 +152,7 @@ def traced_run(wl, first) -> dict:
     failures += probe_failures
 
     calls, self_s, k = tracer.calls, tracer.seconds, tracer.counters
-    request_s = tracer.request_ns / 1e9
+    request_s = (tracer.request_ns - tracer.observe_ns) / 1e9
     lookups = k["cache_hits"] + k["cache_misses"]
     metrics = {
         "pipoly.arith.calls": calls["pipoly.arith"],
