@@ -34,10 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .eulersums import nested_sum, tail_coupled_sum
 from .pipoly import PiPoly, binomial
-from .recurrence import _factorial, _half_step_problem, cos_moment, solve_first_order
+from .recurrence import _half_step_problem, cos_moment, solve_first_order
 from .report import VerificationReport
 
 
@@ -75,12 +76,12 @@ def _check_args(n: int, p: int) -> None:
 
 
 def _assemble(powers: tuple[int, ...], coeffs: tuple[Fraction, ...], star: Fraction | None) -> PiPoly:
-    out = PiPoly.zero()
+    cs = [Fraction(0)] * (max(powers) + 1)
     for power, c in zip(powers, coeffs):
-        out = out + PiPoly.pi_power(power, c)
+        cs[power] += c
     if star is not None:
-        out = out + PiPoly.constant(star)
-    return out
+        cs[0] += star
+    return PiPoly(cs)
 
 
 def _from_base(parity: str, n: int, p: int, powers: tuple[int, ...]) -> BranchExpansion:
@@ -99,11 +100,11 @@ def star_constant(parity: str, n: int, p: int) -> Fraction:
     _check_args(n, p)
     xi = p // 2
     if parity == "even":
-        pref = Fraction((-1) ** (xi + 1) * binomial(2 * n, n) * _factorial(p), 2 ** (2 * n + p + 1))
+        pref = Fraction((-1) ** (xi + 1) * binomial(2 * n, n) * factorial(p), 2 ** (2 * n + p + 1))
         return pref * tail_coupled_sum("even", xi, n, attach="smallest")
     if parity == "odd":
         pref = Fraction(
-            (-1) ** (xi + 1) * _factorial(p) * 2 ** (2 * n), (2 * n + 1) * binomial(2 * n, n)
+            (-1) ** (xi + 1) * factorial(p) * 2 ** (2 * n), (2 * n + 1) * binomial(2 * n, n)
         )
         return pref * tail_coupled_sum("odd", xi, n, attach="smallest")
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
@@ -116,9 +117,9 @@ def even_branch(n: int, p: int) -> BranchExpansion:
     powers = tuple(p + 1 - 2 * j for j in range(xi + 1))
     if p <= 1:
         return _from_base("even", n, p, powers)
-    pf = _factorial(p)
+    pf = factorial(p)
     coeffs = tuple(
-        Fraction((-1) ** j * binomial(2 * n, n) * pf, 2 ** (2 * n + p + 1) * _factorial(p + 1 - 2 * j))
+        Fraction((-1) ** j * binomial(2 * n, n) * pf, 2 ** (2 * n + p + 1) * factorial(p + 1 - 2 * j))
         * nested_sum("even", j, n)
         for j in range(xi + 1)
     )
@@ -133,10 +134,11 @@ def odd_branch(n: int, p: int) -> BranchExpansion:
     powers = tuple(p - 2 * j for j in range(xi + 1))
     if p <= 1:
         return _from_base("odd", n, p, powers)
-    pf = _factorial(p)
+    pf = factorial(p)
     coeffs = tuple(
-        Fraction((-1) ** j * pf * 2 ** (2 * n + 2 * j - p))
-        / Fraction((2 * n + 1) * binomial(2 * n, n) * _factorial(p - 2 * j))
+        Fraction(
+            (-1) ** j * pf * 4 ** (n + j), (2 * n + 1) * binomial(2 * n, n) * factorial(p - 2 * j) * 2**p
+        )
         * nested_sum("odd", j, n)
         for j in range(xi + 1)
     )
@@ -202,10 +204,10 @@ def constant_term_routes(n_max: int, p_max: int) -> VerificationReport:
                 used = star_constant(parity, n, p)
                 xi = p // 2
                 if parity == "even":
-                    pref = Fraction((-1) ** xi * binomial(2 * n, n) * _factorial(p), 2 ** (2 * n))
+                    pref = Fraction((-1) ** xi * binomial(2 * n, n) * factorial(p), 2 ** (2 * n))
                 else:
                     pref = Fraction(
-                        (-1) ** xi * _factorial(p) * 2 ** (2 * n), (2 * n + 1) * binomial(2 * n, n)
+                        (-1) ** xi * factorial(p) * 2 ** (2 * n), (2 * n + 1) * binomial(2 * n, n)
                     )
                 variant = pref * tail_coupled_sum(parity, p, n, attach="largest")
                 report.add_exact(

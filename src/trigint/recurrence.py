@@ -18,13 +18,14 @@ recurrences a_n z_n = b_n z_{n-1} + r_n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Any, Callable
 
 from .eulersums import central_tail
-from .pipoly import PiPoly, binomial
+from .pipoly import PiPoly, binomial, lincomb
 from .report import VerificationReport
 
 
@@ -104,56 +105,22 @@ def base_p0(n: int) -> PiPoly:
     return PiPoly.constant(Fraction(2 ** (2 * m), (2 * m + 1) * binomial(2 * m, m)))
 
 
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def base_n1(p: int) -> PiPoly:
-    """c(1, p) = integral of x**p cos x.
+    """c(1, p) = integral of x**p cos x, by the alternating factorial sum
 
-    Computed by two independent routes that must agree exactly: the
-    alternating factorial sum
-
-        sum_{k=0..floor(p/2)} (-1)^k p!/(p-2k)! (pi/2)^(p-2k)  -  (-1)^xi p! [p odd]
-
-    and the restatement through the degree-(2 xi + 1) Taylor polynomial of
-    cos (value at pi/2 for odd p, derivative there for even p).  A mismatch
-    would be a defect in one of the closed forms, so it raises.
+        sum_{k=0..floor(p/2)} (-1)^k p!/(p-2k)! (pi/2)^(p-2k)  -  (-1)^xi p! [p odd].
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
     xi = p // 2
-    pf = _factorial(p)
-
-    direct = PiPoly.zero()
+    coeffs = [Fraction(0)] * (p + 1)
+    falling = 1  # p!/(p-2k)!
     for k in range(xi + 1):
-        coeff = Fraction((-1) ** k * pf, _factorial(p - 2 * k) * 2 ** (p - 2 * k))
-        direct = direct + PiPoly.pi_power(p - 2 * k, coeff)
+        coeffs[p - 2 * k] = Fraction((-1) ** k * falling, 2 ** (p - 2 * k))
+        falling *= (p - 2 * k) * (p - 2 * k - 1)
     if p % 2 == 1:
-        direct = direct + PiPoly.constant(Fraction(-((-1) ** xi) * pf))
-
-    sign = Fraction((-1) ** xi * pf)
-    if p % 2 == 1:
-        # f(x) = (-1)^xi p! (-1 + sum (-1)^k x^(2k+1)/(2k+1)!), evaluated at pi/2
-        taylor = PiPoly.constant(-sign)
-        for k in range(xi + 1):
-            taylor = taylor + PiPoly.pi_power(
-                2 * k + 1, sign * Fraction((-1) ** k, _factorial(2 * k + 1) * 2 ** (2 * k + 1))
-            )
-    else:
-        # derivative of the same polynomial at pi/2
-        taylor = PiPoly.zero()
-        for k in range(xi + 1):
-            taylor = taylor + PiPoly.pi_power(
-                2 * k, sign * Fraction((-1) ** k, _factorial(2 * k) * 2 ** (2 * k))
-            )
-
-    if direct != taylor:
-        raise RuntimeError(f"dual closed forms for the n=1 base row disagree at p={p}")
-    return direct
+        coeffs[0] -= (-1) ** xi * math.factorial(p)
+    return PiPoly(coeffs)
 
 
 def base_p1(n: int) -> PiPoly:
@@ -172,10 +139,10 @@ def base_p1(n: int) -> PiPoly:
         m = n // 2
         pref = Fraction(binomial(2 * m, m), 2 ** (2 * m + 2))
         tail = central_tail("even", m) if m >= 1 else Fraction(0)
-        return PiPoly.pi_power(2, pref / 2) + PiPoly.constant(-pref * tail)
+        return PiPoly((-pref * tail, 0, pref / 2))
     m = (n - 1) // 2
     pref = Fraction(2 ** (2 * m), (2 * m + 1) * binomial(2 * m, m))
-    return PiPoly.pi_power(1, pref / 2) + PiPoly.constant(-pref * central_tail("odd", m))
+    return PiPoly((-pref * central_tail("odd", m), pref / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +173,8 @@ def cos_moment(n: int, p: int) -> PiPoly:
         return base_p0(n)
     if p == 1:
         return base_p1(n)
-    return cos_moment(n - 2, p) * Fraction(n - 1, n) + cos_moment(n, p - 2) * Fraction(
-        -p * (p - 1), n * n
+    return lincomb(
+        Fraction(n - 1, n), cos_moment(n - 2, p), Fraction(-p * (p - 1), n * n), cos_moment(n, p - 2)
     )
 
 
@@ -222,8 +189,8 @@ def sin_moment(n: int, p: int) -> PiPoly:
     _check_indices(n, p)
     out = PiPoly.zero()
     for k in range(p + 1):
-        scale = PiPoly.pi_power(p - k, Fraction((-1) ** k * binomial(p, k), 2 ** (p - k)))
-        out = out + scale * cos_moment(n, k)
+        scale = Fraction((-1) ** k * binomial(p, k), 2 ** (p - k))
+        out = lincomb(1, out, scale, cos_moment(n, k).shifted(p - k))
     return out
 
 

@@ -4,6 +4,8 @@ route, the cascade route, and brute-force constant-term sums."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigint import (
     coeff_via_recurrence,
@@ -53,6 +55,12 @@ class TestOddBranch:
         with pytest.raises(ValueError):
             star_constant("odd", 0, 2)
 
+    # 2n + 2j < p with p! too wide for a double's mantissa: the power of two
+    # must stay exact there
+    @pytest.mark.parametrize("n,p", [*((n, 23) for n in range(12)), (5, 24), (2, 70)])
+    def test_negative_power_of_two_cells(self, n, p):
+        assert odd_branch(n, p).assembled == cos_moment(2 * n + 1, p)
+
 
 class TestTripleAgreement:
     def test_branches_equal_recurrence(self):
@@ -60,6 +68,12 @@ class TestTripleAgreement:
             for p in range(8):
                 assert even_branch(n, p).assembled == cos_moment(2 * n, p), ("even", n, p)
                 assert odd_branch(n, p).assembled == cos_moment(2 * n + 1, p), ("odd", n, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 30), st.integers(0, 30))
+    def test_branches_equal_recurrence_property(self, n, p):
+        assert even_branch(n, p).assembled == cos_moment(2 * n, p)
+        assert odd_branch(n, p).assembled == cos_moment(2 * n + 1, p)
 
     def test_numeric_agreement_with_quadrature(self):
         import math

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigint import PiPoly, binomial
+from trigint import PiPoly, binomial, cos_moment
 
 
 def binomial_by_product(n: int, k: int) -> int:
@@ -93,6 +93,69 @@ class TestRing:
             PiPoly([0.5])
 
 
+def ref_add(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def ref_mul(a: list, b: list) -> list:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def ref_trim(cs: list) -> tuple:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+fraction_lists_st = st.lists(fractions_st, min_size=0, max_size=5)
+
+
+class TestAgainstFractionLists:
+    """Integer-numerator arithmetic against plain per-coefficient Fraction lists."""
+
+    @settings(max_examples=100)
+    @given(fraction_lists_st, fraction_lists_st, fractions_st)
+    def test_operations(self, a, b, s):
+        pa, pb = PiPoly(a), PiPoly(b)
+        assert (pa + pb).coeffs == ref_trim(ref_add(a, b))
+        assert (pa - pb).coeffs == ref_trim(ref_add(a, [-c for c in b]))
+        assert (-pa).coeffs == ref_trim([-c for c in a])
+        assert (pa * pb).coeffs == ref_trim(ref_mul(a, b))
+        assert (pa * s).coeffs == (s * pa).coeffs == ref_trim([c * s for c in a])
+        assert (pa + s).coeffs == ref_trim(ref_add(a, [s]))
+        assert (s - pa).coeffs == ref_trim(ref_add([s], [-c for c in a]))
+        same = ref_trim(a) == ref_trim(b)
+        # built vs built, computed vs computed, built vs computed
+        assert (pa == pb) == ((pa + 0) == (pb * 1)) == (pa == pb * 1) == same
+        if same:
+            assert hash(pa) == hash(pb) == hash(pb * 1)
+
+    @settings(max_examples=100)
+    @given(fraction_lists_st, fraction_lists_st)
+    def test_built_and_computed_forms_agree(self, a, b):
+        # b + (a - b) reaches the value of a through arithmetic only
+        built, computed = PiPoly(a), PiPoly(a) - PiPoly(b) + PiPoly(b)
+        assert built == computed and computed == built
+        assert hash(built) == hash(computed)
+        assert computed.coeffs == built.coeffs == ref_trim(a)
+        assert computed.degree == built.degree
+        assert str(computed) == str(built)
+
+    @given(fraction_lists_st)
+    def test_zero_is_canonical(self, a):
+        zero = PiPoly(a) - PiPoly(a)
+        assert zero.coeffs == () and zero.degree == -1 and not zero
+        assert zero == PiPoly.zero() == PiPoly([0, 0]) == 0
+        assert hash(zero) == hash(PiPoly.zero())
+        assert zero * PiPoly(a) == zero
+
+
 class TestEvaluate:
     def test_pi_squared_over_eight_20_digits(self):
         got = PiPoly.pi_power(2, Fraction(1, 8)).evaluate(20)
@@ -112,6 +175,17 @@ class TestEvaluate:
             ref = mp.pi**2 / 16 - mp.mpf(1) / 4
             assert abs(p.evaluate(30) - ref) < mp.mpf("1e-28")
         assert str(float(p.evaluate(20))).startswith("0.3668502750680849")
+
+    def test_coefficients_past_the_str_digit_limit(self):
+        # c(1, 1700) has 4,700-digit coefficients.  The reference integrates
+        # the Taylor series of cos term by term, an alternating series with no
+        # large cancellation: sum_k (-1)^k (pi/2)^(p+2k+1) / ((2k)! (p+2k+1)).
+        p = 1700
+        got = cos_moment(1, p).evaluate(30)
+        with mp.workdps(60):
+            h = mp.pi / 2
+            ref = mp.fsum((-1) ** k * h ** (p + 2 * k + 1) / (mp.factorial(2 * k) * (p + 2 * k + 1)) for k in range(60))
+            assert abs(got - ref) < mp.mpf(10) ** (1 - 30) * abs(ref)
 
     def test_digits_floor(self):
         with pytest.raises(ValueError):

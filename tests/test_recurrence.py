@@ -1,5 +1,6 @@
 """Recurrence-engine tests: solver, base rows, full families, Wallis checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -88,6 +89,25 @@ def iterate_single_cos_row(p: int) -> PiPoly:
     )
 
 
+def taylor_single_cos_row(p: int) -> PiPoly:
+    """Independent oracle for c(1, p) through the degree-(2 xi + 1) Taylor
+    polynomial of cos: f(x) = (-1)^xi p! (-1 + sum (-1)^k x^(2k+1)/(2k+1)!)
+    at pi/2 for odd p, its derivative there for even p."""
+    xi = p // 2
+    sign = Fraction((-1) ** xi * math.factorial(p))
+    if p % 2 == 1:
+        out = PiPoly.constant(-sign)
+        for k in range(xi + 1):
+            out = out + PiPoly.pi_power(
+                2 * k + 1, sign * Fraction((-1) ** k, math.factorial(2 * k + 1) * 2 ** (2 * k + 1))
+            )
+        return out
+    out = PiPoly.zero()
+    for k in range(xi + 1):
+        out = out + PiPoly.pi_power(2 * k, sign * Fraction((-1) ** k, math.factorial(2 * k) * 2 ** (2 * k)))
+    return out
+
+
 class TestBaseRows:
     def test_pure_power_row(self):
         assert base_n0(0) == PiPoly.pi_power(1, Fraction(1, 2))
@@ -107,9 +127,8 @@ class TestBaseRows:
             assert base_n1(p) == iterate_single_cos_row(p), p
 
     def test_dual_route_consistency_sweep(self):
-        # base_n1 internally compares two closed forms and raises on mismatch
-        for p in range(0, 26):
-            base_n1(p)
+        for p in range(0, 61):
+            assert base_n1(p) == taylor_single_cos_row(p), p
 
     def test_linear_weight_row(self):
         assert base_p1(0) == PiPoly.pi_power(2, Fraction(1, 8))
