@@ -20,10 +20,10 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 
 from . import closedform, halfline, recurrence
 from .quadrature import OscillatorySpec, integrate_finite, integrate_halfline_osc
@@ -58,6 +58,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _nonneg(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -80,11 +90,24 @@ def _nstr(value, digits: int) -> str:
     return mp.nstr(value, digits, strip_zeros=False)
 
 
+@contextmanager
+def _int_str_unlimited():
+    """Lift CPython's int-to-str digit limit: exact coefficients can exceed it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------------------
 # verification sweeps
 # ---------------------------------------------------------------------------
 
 def _moment_integrand(family: str, n: int, p: int):
+    import numpy as np
+
     trig = np.cos if family == "cos" else np.sin
     return lambda x: x**p * trig(x) ** n
 
@@ -196,6 +219,8 @@ def verify_sweep(
             abs_err=abs(float(lw0) - osc.value / 4.0),
             tol=1e-5,
         )
+        import numpy as np
+
         fres = halfline.fresnel_c(1, 30)
         head = integrate_finite(lambda u: 2.0 * np.cos(u * u), 0.0, math.sqrt(math.pi / 2), 1e-12)
         target = float(mp.sqrt(2 * mp.pi) * fres)
@@ -240,21 +265,22 @@ def _cmd_eval(args) -> int:
         )
         verified = bool(oracle.converged and abs(float(value) - oracle.value) <= args.tol)
 
-    if args.format == "exact":
-        print(str(poly))
-    elif args.format == "latex":
-        print(poly.latex())
-    elif args.format == "float":
-        print(_nstr(value, args.digits))
-    else:
-        payload = {
-            "integral": f"{fam[0]}({args.n},{args.p})",
-            "params": {"family": fam, "n": args.n, "p": args.p},
-            "exact": poly.to_dict(),
-            "float": _nstr(value, args.digits),
-            "verified": verified,
-        }
-        print(json.dumps(payload, sort_keys=True))
+    with _int_str_unlimited():
+        if args.format == "exact":
+            print(str(poly))
+        elif args.format == "latex":
+            print(poly.latex())
+        elif args.format == "float":
+            print(_nstr(value, args.digits))
+        else:
+            payload = {
+                "integral": f"{fam[0]}({args.n},{args.p})",
+                "params": {"family": fam, "n": args.n, "p": args.p},
+                "exact": poly.to_dict(),
+                "float": _nstr(value, args.digits),
+                "verified": verified,
+            }
+            print(json.dumps(payload, sort_keys=True))
     if args.verify and args.format in ("exact", "latex", "float"):
         print(f"verified: {verified}")
     return 0 if verified in (None, True) else 1
@@ -329,7 +355,8 @@ def _table_rows(entry: str, lo: int, hi: int, digits: int) -> list[dict]:
 
 def _cmd_table(args) -> int:
     lo, hi = args.range
-    rows = _table_rows(args.gr, lo, hi, args.digits)
+    with _int_str_unlimited():
+        rows = _table_rows(args.gr, lo, hi, args.digits)
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
     else:
@@ -392,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_half.add_argument("--kind", choices=("cos", "sin"), required=True)
     p_half.add_argument("--n", type=_nonneg, required=True)
     p_half.add_argument("--p", type=_fraction, required=True, help="exact rational in (0,1), e.g. 1/2")
-    p_half.add_argument("--b", type=float, default=0.0)
+    p_half.add_argument("--b", type=_finite, default=0.0)
     p_half.add_argument("--format", choices=("exact", "latex", "float", "json"), default="float")
     p_half.add_argument("--digits", type=int, default=digits_default)
     p_half.add_argument("--verify", action="store_true", help="compare against the oscillatory oracle")

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .pipoly import binomial
 
 _KINDS = ("even", "odd")
@@ -123,6 +121,8 @@ def central_tail_float(kind: str, m: int) -> float:
     float64 (pairwise summation); the rounding error stays orders of
     magnitude below the m**(-1/2) truncation error of the series itself.
     """
+    import numpy as np
+
     _check_kind(kind)
     if kind == "even":
         if m < 1:

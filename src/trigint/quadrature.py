@@ -18,6 +18,9 @@ and their partial sums are extrapolated by iterated pairwise averaging.
 Integrand callables must accept numpy arrays (panels are evaluated in one
 vectorized call).  Gauss-Legendre nodes are strictly interior, so integrands
 are never evaluated at interval endpoints.
+
+numpy is needed only by these oracles and is loaded on first use: importing
+this module, or evaluating exact values, never imports it.
 """
 
 from __future__ import annotations
@@ -25,11 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
-
-import numpy as np
-
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,13 @@ class QuadratureResult:
     partial_sums: tuple[float, ...] | None = None
 
 
-def _panel(f: Callable, a: float, b: float) -> float:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * float(np.dot(_WEIGHTS, f(half * _NODES + mid)))
+@cache
+def _numpy_rule():
+    """numpy and the 24-point Gauss-Legendre rule on [-1, 1], built once."""
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    return np, nodes, weights
 
 
 def integrate_finite(
@@ -66,16 +69,22 @@ def integrate_finite(
         raise ValueError("need finite a < b")
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable in double precision")
+    np, nodes, weights = _numpy_rule()
+
+    def panel(lo: float, hi: float) -> float:
+        half = 0.5 * (hi - lo)
+        return half * float(np.dot(weights, f(half * nodes + 0.5 * (lo + hi))))
+
     total = 0.0
     err_total = 0.0
     panels = 1
     converged = True
-    stack = [(a, b, _panel(f, a, b), tol, 0)]
+    stack = [(a, b, panel(a, b), tol, 0)]
     while stack:
         lo, hi, whole, budget, depth = stack.pop()
         mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid)
-        right = _panel(f, mid, hi)
+        left = panel(lo, mid)
+        right = panel(mid, hi)
         panels += 2
         err = abs(whole - (left + right))
         if err <= budget or depth >= max_depth:
@@ -151,6 +160,8 @@ class OscillatorySpec:
             raise ValueError(f"exponent must lie in [0, 1), got {p}")
         if self.max_arches < 8:
             raise ValueError("need at least 8 arches")
+        if not math.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift}")
 
 
 def _first_zero(kind: str, b: float) -> float:
@@ -175,6 +186,7 @@ def integrate_halfline_osc(spec: OscillatorySpec) -> QuadratureResult:
     arches alternate in sign; their partial sums are extrapolated with
     ``accelerate_alternating``.
     """
+    np = _numpy_rule()[0]
     p = float(spec.exponent)
     b, m = spec.shift, 2 * spec.n + 1
     trig = np.cos if spec.kind == "cos" else np.sin

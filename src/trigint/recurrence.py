@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from typing import Any, Callable
 
 from .eulersums import central_tail
@@ -150,13 +150,15 @@ def base_p1(n: int) -> PiPoly:
 # ---------------------------------------------------------------------------
 
 def _check_indices(n: int, p: int) -> None:
-    if not (isinstance(n, int) and isinstance(p, int)):
+    # The caches are typed, so a float or bool index never hits an int entry
+    # and always reaches this check.
+    if isinstance(n, bool) or isinstance(p, bool) or not (isinstance(n, int) and isinstance(p, int)):
         raise TypeError("n and p must be integers")
     if n < 0 or p < 0:
         raise ValueError("n and p must be nonnegative")
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def cos_moment(n: int, p: int) -> PiPoly:
     """Exact value of integral_0^{pi/2} x**p cos(x)**n dx in Q[pi].
 
@@ -178,7 +180,7 @@ def cos_moment(n: int, p: int) -> PiPoly:
     )
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def sin_moment(n: int, p: int) -> PiPoly:
     """Exact value of integral_0^{pi/2} x**p sin(x)**n dx in Q[pi].
 

@@ -124,7 +124,7 @@ def test_criterion_6_table_entry_equivalence():
     """The table form and the closed form are the same sum, n <= 20."""
     worst = mp.mpf(0)
     for n in range(21):
-        value, cfs = gr_822_1(n, 50)  # raises if the weights ever disagree
+        value, cfs = gr_822_1(n, 50)  # weights: test_halfline.py, n <= 40
         worst = max(worst, abs(value - cfs.evaluate(50)))
     ok = worst < mp.mpf("1e-40")
     _report("6", ok, f"table-entry equivalence for n <= 20, worst numeric gap = {mp.nstr(worst, 3)}")

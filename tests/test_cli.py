@@ -1,9 +1,13 @@
 """CLI behavior: formats, exit codes, determinism."""
 
 import json
+import re
+import sys
+from fractions import Fraction
 
 import pytest
 
+from trigint import cos_moment
 from trigint.cli import main
 
 
@@ -54,6 +58,46 @@ class TestEval:
         assert out1 == out2
 
 
+class TestHugeCoefficients:
+    """c(1, 1700) has coefficients past CPython's 4300-digit int-to-str limit."""
+
+    @staticmethod
+    def parse_exact(text):
+        # "a π^k/d - ... + c" -> coefficient tuple, index = power of π
+        pieces = re.split(r" ([-+]) ", text)
+        signs = ["-" if pieces[0].startswith("-") else "+"] + pieces[1::2]
+        coeffs = {}
+        for sign, term in zip(signs, pieces[0::2]):
+            num, pi, power, den = re.fullmatch(r"-?(\d*)(π(?:\^(\d+))?)?(?:/(\d+))?", term).groups()
+            k = int(power) if power else (1 if pi else 0)
+            coeffs[k] = Fraction(int(num or 1), int(den or 1)) * (-1 if sign == "-" else 1)
+        return tuple(coeffs.get(k, Fraction(0)) for k in range(max(coeffs) + 1))
+
+    @pytest.mark.parametrize("fmt", ["exact", "latex", "json"])
+    def test_text_formats_exit_zero(self, capsys, fmt):
+        limit = sys.get_int_max_str_digits()
+        code, out = run(capsys, "eval", "--family", "c", "--n", "1", "--p", "1700", "--format", fmt)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        assert len(out) > limit
+
+    def test_exact_text_round_trips(self, capsys):
+        code, out = run(capsys, "eval", "--family", "c", "--n", "1", "--p", "1700")
+        assert code == 0
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert self.parse_exact(out.strip()) == cos_moment(1, 1700).coeffs
+            assert self.parse_exact(str(cos_moment(4, 5))) == cos_moment(4, 5).coeffs
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_table_entry(self, capsys):
+        code, out = run(capsys, "table", "--gr", "3.761.11", "--range", "1700..1700")
+        assert code == 0
+        assert out.count("\n") == 3
+
+
 class TestHalfline:
     def test_float(self, capsys):
         code, out = run(capsys, "halfline", "--kind", "cos", "--n", "0", "--p", "1/2")
@@ -78,6 +122,15 @@ class TestHalfline:
         with pytest.raises(SystemExit) as err:
             main(["halfline", "--kind", "cos", "--n", "0", "--p", "half"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("b", ["nan", "inf", "-inf", "half"])
+    def test_bad_shift(self, capsys, b):
+        with pytest.raises(SystemExit) as err:
+            main(["halfline", "--kind", "cos", "--n", "0", "--p", "1/2", f"--b={b}"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage:") and "--b" in captured.err
 
 
 class TestUsageErrors:

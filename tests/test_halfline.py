@@ -90,6 +90,9 @@ class TestHalflinePower:
             halfline_power("cos", 0, Fraction(9999999, 10000000))  # within 1e-6 of 1
         with pytest.raises(ValueError):
             halfline_power("tan", 0, Fraction(1, 2))
+        for b in (math.nan, math.inf, -math.inf):  # not a silent nan
+            with pytest.raises(ValueError, match="b must be finite"):
+                halfline_power("cos", 1, Fraction(1, 2), b, 30)
 
     def test_shift_periodicity(self):
         for kind in ("cos", "sin"):
@@ -139,6 +142,18 @@ class TestTableEntries:
         for n in range(8):
             value, cfs = gr_822_1(n, 50)
             assert close(value, cfs.evaluate(50), mp.mpf("1e-45"))
+
+    def test_gr_822_1_weights_mirror_the_closed_form(self):
+        # The table's C(2n+1, n+k+1) weights are the closed form's C(2n+1, n-k)
+        # read in mirror order, with frequency 2k+1, term by term.
+        for n in range(41):
+            _, cfs = gr_822_1(n, 15)
+            assert len(cfs.terms) == n + 1
+            for k, term in enumerate(cfs.terms):
+                table_w = binomial(2 * n + 1, n + k + 1)
+                assert table_w == binomial(2 * n + 1, n - k)
+                assert table_w == abs(term.weight)
+                assert term.frequency == 2 * k + 1
 
     def test_linear_phase_values(self):
         with mp.workdps(40):

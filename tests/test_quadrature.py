@@ -141,3 +141,6 @@ class TestOscillatory:
             OscillatorySpec(kind="tan", n=0, exponent=0.5)
         with pytest.raises(ValueError):
             OscillatorySpec(kind="cos", n=-1, exponent=0.5)
+        for shift in (math.nan, math.inf, -math.inf):  # named up front, not inside math.ceil
+            with pytest.raises(ValueError, match="shift must be finite"):
+                OscillatorySpec(kind="cos", n=0, exponent=0.5, shift=shift)

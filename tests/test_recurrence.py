@@ -207,6 +207,17 @@ class TestCompleteFamilies:
         with pytest.raises(TypeError):
             cos_moment(1.5, 0)
 
+    @pytest.mark.parametrize("moment", [cos_moment, sin_moment])
+    @pytest.mark.parametrize("n, p", [(1.0, 1), (1, 1.0), (2.0, 2), (True, 1), (1, True), (False, 0)])
+    def test_non_int_indices_rejected_cold_and_warm(self, moment, n, p):
+        # The answer must not depend on whether the int entry is cached.
+        moment.cache_clear()
+        with pytest.raises(TypeError):
+            moment(n, p)
+        moment(int(n), int(p))
+        with pytest.raises(TypeError):
+            moment(n, p)
+
 
 class TestWallisIdentities:
     def test_spot_values(self):
