@@ -69,7 +69,10 @@ def _finite(text: str) -> float:
 
 
 def _nonneg(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value

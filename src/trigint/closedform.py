@@ -12,9 +12,10 @@ with xi = floor(p/2),
     b_j = (-1)^j p! 2**(2n+2j-p) / ((2n+1) C(2n,n) (p-2j)!) * nested_sum(odd, j, n).
 
 For odd p the expansion terminates in a rational constant.  Solving the
-coefficient cascade (the same first-order systems as the j <= 2 route below,
-taken all the way down) gives that constant as a tail-coupled nested sum with
-the central-tail factor attached to the *smallest* tuple index and depth xi:
+coefficient cascade (the first-order systems of ``coeff_via_recurrence``
+below, taken all the way down) gives that constant as a tail-coupled nested
+sum with the central-tail factor attached to the *smallest* tuple index and
+depth xi:
 
     even: (-1)^(xi+1) C(2n,n) p! / 2**(2n+p+1) * tail_coupled_sum(even, xi, n),
     odd:  (-1)^(xi+1) p! 2**(2n) / ((2n+1) C(2n,n)) * tail_coupled_sum(odd, xi, n),
@@ -25,9 +26,9 @@ kept available through ``constant_term_routes`` for comparison; it does NOT
 reproduce the recurrence values (``constant_term_routes`` reports all three
 numbers side by side rather than hiding the disagreement).
 
-``coeff_via_recurrence`` recomputes the three leading even-branch
-coefficients by iterating their first-order recurrences directly, giving a
-route to the same numbers that never touches the nested-sum tables.
+``coeff_via_recurrence`` recomputes any even-branch coefficient by iterating
+its first-order recurrences directly, giving a route to the same numbers that
+never touches the nested-sum tables.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import factorial
 
 from .eulersums import nested_sum, tail_coupled_sum
 from .pipoly import PiPoly, binomial
-from .recurrence import _half_step_problem, cos_moment, solve_first_order
+from .recurrence import cos_moment
 from .report import VerificationReport
 
 
@@ -93,21 +94,24 @@ def _from_base(parity: str, n: int, p: int, powers: tuple[int, ...]) -> BranchEx
     return BranchExpansion(parity, n, p, powers, coeffs, star, poly)
 
 
+def _star(parity: str, n: int, p: int, central: int, pf: int) -> Fraction:
+    # The constant term for odd p, given central = C(2n, n) and pf = p!.
+    xi = p // 2
+    if parity == "even":
+        pref = Fraction((-1) ** (xi + 1) * central * pf, 2 ** (2 * n + p + 1))
+    else:
+        pref = Fraction((-1) ** (xi + 1) * pf * 4**n, (2 * n + 1) * central)
+    return pref * tail_coupled_sum(parity, xi, n, attach="smallest")
+
+
 def star_constant(parity: str, n: int, p: int) -> Fraction:
     """The rational constant term of the branch expansion for odd p."""
     if p % 2 != 1:
         raise ValueError("the constant term exists only for odd p")
     _check_args(n, p)
-    xi = p // 2
-    if parity == "even":
-        pref = Fraction((-1) ** (xi + 1) * binomial(2 * n, n) * factorial(p), 2 ** (2 * n + p + 1))
-        return pref * tail_coupled_sum("even", xi, n, attach="smallest")
-    if parity == "odd":
-        pref = Fraction(
-            (-1) ** (xi + 1) * factorial(p) * 2 ** (2 * n), (2 * n + 1) * binomial(2 * n, n)
-        )
-        return pref * tail_coupled_sum("odd", xi, n, attach="smallest")
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return _star(parity, n, p, binomial(2 * n, n), factorial(p))
 
 
 def even_branch(n: int, p: int) -> BranchExpansion:
@@ -117,13 +121,13 @@ def even_branch(n: int, p: int) -> BranchExpansion:
     powers = tuple(p + 1 - 2 * j for j in range(xi + 1))
     if p <= 1:
         return _from_base("even", n, p, powers)
-    pf = factorial(p)
+    central, pf = binomial(2 * n, n), factorial(p)
+    num, den = central * pf, 2 ** (2 * n + p + 1)
     coeffs = tuple(
-        Fraction((-1) ** j * binomial(2 * n, n) * pf, 2 ** (2 * n + p + 1) * factorial(p + 1 - 2 * j))
-        * nested_sum("even", j, n)
+        Fraction((-1) ** j * num, den * factorial(p + 1 - 2 * j)) * nested_sum("even", j, n)
         for j in range(xi + 1)
     )
-    star = star_constant("even", n, p) if p % 2 == 1 else None
+    star = _star("even", n, p, central, pf) if p % 2 == 1 else None
     return BranchExpansion("even", n, p, powers, coeffs, star, _assemble(powers, coeffs, star))
 
 
@@ -134,51 +138,45 @@ def odd_branch(n: int, p: int) -> BranchExpansion:
     powers = tuple(p - 2 * j for j in range(xi + 1))
     if p <= 1:
         return _from_base("odd", n, p, powers)
-    pf = factorial(p)
+    central, pf = binomial(2 * n, n), factorial(p)
+    den = (2 * n + 1) * central * 2**p
     coeffs = tuple(
-        Fraction(
-            (-1) ** j * pf * 4 ** (n + j), (2 * n + 1) * binomial(2 * n, n) * factorial(p - 2 * j) * 2**p
-        )
-        * nested_sum("odd", j, n)
+        Fraction((-1) ** j * pf * 4 ** (n + j), den * factorial(p - 2 * j)) * nested_sum("odd", j, n)
         for j in range(xi + 1)
     )
-    star = star_constant("odd", n, p) if p % 2 == 1 else None
+    star = _star("odd", n, p, central, pf) if p % 2 == 1 else None
     return BranchExpansion("odd", n, p, powers, coeffs, star, _assemble(powers, coeffs, star))
 
 
 # ---------------------------------------------------------------------------
-# the independent coefficient cascade (leading three depths)
+# the independent coefficient cascade
 # ---------------------------------------------------------------------------
 
 def coeff_via_recurrence(n: int, p: int, j: int) -> Fraction:
     """Even-branch coefficient of pi**(p+1-2j) via its own recurrence.
 
-    Each depth is the solution of a first-order system in n (coefficients
-    2n and 2n-1) whose inhomogeneous term comes from the previous depth at
-    p-2; depths 0..2 are supported, deeper coefficients only through
-    ``even_branch``.  This route never consults the nested-sum tables, so it
-    cross-checks them.
+    Depth d of the cascade (d = 0..j, with q = p - 2(j - d)) solves
+
+        2k z_k = (2k-1) z_{k-1} - q(q-1)/(2k) * z'_k,
+
+    where z' is depth d-1 at the same k; depth 0 has no inhomogeneous term
+    and starts from 1/((q+1) 2**(q+1)), deeper ones start from 0.  One
+    forward sweep in k carries all depths together, so the cost is O(n j).
+    This route never consults the nested-sum tables, so it cross-checks them.
     """
     _check_args(n, p)
-    if j not in (0, 1, 2):
-        raise ValueError(f"unsupported cascade depth j={j}; only j in {{0, 1, 2}}")
+    if j < 0:
+        raise ValueError(f"cascade depth must be nonnegative, got j={j}")
     if p + 1 - 2 * j < 1:
         raise ValueError(f"depth j={j} requires p >= {2 * j}")
-
-    if j == 0:
-        prob = _half_step_problem(lambda k: Fraction(0), Fraction(1, (p + 1) * 2 ** (p + 1)))
-        return solve_first_order(prob, n)
-    if j == 1:
-        # 2n a_n = (2n-1) a_{n-1} - p(p-1)/(2n) * [top coefficient at p-2]
-        def r1(k: int) -> Fraction:
-            return Fraction(-p * (p - 1), 2 * k) * coeff_via_recurrence(k, p - 2, 0)
-
-        return solve_first_order(_half_step_problem(r1, Fraction(0)), n)
-
-    def r2(k: int) -> Fraction:
-        return Fraction(-p * (p - 1), 2 * k) * coeff_via_recurrence(k, p - 2, 1)
-
-    return solve_first_order(_half_step_problem(r2, Fraction(0)), n)
+    q0 = p - 2 * j
+    z = [Fraction(1, (q0 + 1) * 2 ** (q0 + 1))] + [Fraction(0)] * j
+    for k in range(1, n + 1):
+        z[0] = z[0] * (2 * k - 1) / (2 * k)
+        for d in range(1, j + 1):
+            q = q0 + 2 * d
+            z[d] = (z[d] * (2 * k - 1) - z[d - 1] * Fraction(q * (q - 1), 2 * k)) / (2 * k)
+    return z[j]
 
 
 # ---------------------------------------------------------------------------

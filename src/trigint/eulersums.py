@@ -16,18 +16,32 @@ branch expansions:
   attached to a designated tuple index; these are the constant terms of the
   odd-p branch expansions.
 
-Tables are filled by a single writer and grown in place; completed entries
-are immutable Fractions, so concurrent reads of already-computed values are
-safe, concurrent growth is not.
+Storage.  The tables hold integer numerators over denominators known in
+advance, so growing a row is an integer multiply-add with no gcd; the reduced
+Fraction is built when an entry is read.  With the index unit u(k) = k (even
+kind, k >= 1) or 2k+1 (odd kind, k >= 0), M(n) is the lcm of u(k) over the
+summation range up to n, and D(n) is the lcm of the denominators of the
+central-tail terms up to n.  A nested sum of depth j is stored over
+M(n)**(2j), a central tail over D(n), and a tail-coupled sum of depth m over
+D(n) * M(n)**(2m).  All of this state, the lcm lists included, lives in the
+three dicts ``_NESTED``, ``_TAILS`` and ``_COUPLED``, whose values are lists
+that start empty.
+
+Threads.  One module lock covers the growth of the tables and the read of the
+entry, so the public functions may be called from several threads at once.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from fractions import Fraction
 
 from .pipoly import binomial
 
 _KINDS = ("even", "odd")
+
+_LOCK = threading.Lock()
 
 
 def _check_kind(kind: str) -> None:
@@ -35,16 +49,43 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be 'even' or 'odd', got {kind!r}")
 
 
+def _unit(kind: str, k: int) -> int:
+    return k if kind == "even" else 2 * k + 1
+
+
+def _seed(kind: str) -> int:
+    # The value at bound 0: even sums start at index 1 (empty, 0), odd sums
+    # include the all-zero tuple, whose weight and tail are both 1.
+    return 0 if kind == "even" else 1
+
+
 # ---------------------------------------------------------------------------
 # plain nested sums
 # ---------------------------------------------------------------------------
 
-# _NESTED[kind][j][n] == nested_sum(kind, j, n)
-_NESTED: dict[str, list[list[Fraction]]] = {"even": [], "odd": []}
+# _NESTED[kind][j][n] == nested_sum(kind, j, n) * M(n)**(2j),
+# M(n) == _NESTED[kind, "lcm"][n].
+_NESTED: dict = {"even": [], "odd": [], ("even", "lcm"): [], ("odd", "lcm"): []}
 
 
-def _index_weight(kind: str, n: int) -> Fraction:
-    return Fraction(1, n * n) if kind == "even" else Fraction(1, (2 * n + 1) ** 2)
+def _grow_nested(kind: str, depth: int, bound: int) -> list[list[int]]:
+    lcms = _NESTED[kind, "lcm"]
+    if not lcms:
+        lcms.append(1)
+    for n in range(len(lcms), bound + 1):
+        lcms.append(math.lcm(lcms[n - 1], _unit(kind, n)))
+    rows = _NESTED[kind]
+    while len(rows) <= depth:
+        rows.append([])
+    rows[0].extend([1] * (bound + 1 - len(rows[0])))
+    for j in range(1, depth + 1):
+        row, prev = rows[j], rows[j - 1]
+        if not row:
+            row.append(_seed(kind))
+        for n in range(len(row), bound + 1):
+            scale = lcms[n] // _unit(kind, n)
+            row.append(row[n - 1] * (lcms[n] // lcms[n - 1]) ** (2 * j) + prev[n] * (scale * scale))
+    return rows
 
 
 def nested_sum(kind: str, depth: int, bound: int) -> Fraction:
@@ -57,47 +98,40 @@ def nested_sum(kind: str, depth: int, bound: int) -> Fraction:
     _check_kind(kind)
     if depth < 0 or bound < 0:
         raise ValueError("depth and bound must be nonnegative")
-    rows = _NESTED[kind]
-    while len(rows) <= depth:
-        rows.append([])
-    for j in range(depth + 1):
-        row = rows[j]
-        if j == 0:
-            while len(row) <= bound:
-                row.append(Fraction(1))
-            continue
-        if not row:
-            # bound 0: even sums start at index 1 (empty), odd include the
-            # all-zero tuple whose product is 1.
-            row.append(Fraction(0) if kind == "even" else Fraction(1))
-        prev = rows[j - 1]
-        while len(row) <= bound:
-            n = len(row)
-            row.append(row[n - 1] + prev[n] * _index_weight(kind, n))
-    return rows[depth][bound]
+    with _LOCK:
+        rows = _grow_nested(kind, depth, bound)
+        return Fraction(rows[depth][bound], _NESTED[kind, "lcm"][bound] ** (2 * depth))
 
 
 # ---------------------------------------------------------------------------
 # central-binomial tail partial sums
 # ---------------------------------------------------------------------------
 
-# Exact partial sums; even entry m is sum_{k=1..m}, odd entry m is sum_{k=0..m}.
-_TAILS: dict[str, list[Fraction]] = {"even": [Fraction(0)], "odd": []}
+# _TAILS[kind][m] == (partial sum up to index m) * D(m), D(m) == _TAILS[kind, "lcm"][m];
+# the even series starts at k = 1 (value 0 at m = 0), the odd one at k = 0.
+_TAILS: dict = {"even": [], "odd": [], ("even", "lcm"): [], ("odd", "lcm"): []}
 
 
-def _tail_partial(kind: str, m: int) -> Fraction:
-    vals = _TAILS[kind]
-    if kind == "even":
-        while len(vals) <= m:
-            k = len(vals)
-            vals.append(vals[k - 1] + Fraction(4**k, k * k * binomial(2 * k, k)))
-    else:
-        if not vals:
-            vals.append(Fraction(1))
-        while len(vals) <= m:
-            k = len(vals)
-            vals.append(vals[k - 1] + Fraction(binomial(2 * k, k), 4**k * (2 * k + 1)))
-    return vals[m]
+def _grow_tails(kind: str, m: int) -> list[int]:
+    sums, dens = _TAILS[kind], _TAILS[kind, "lcm"]
+    if not sums:
+        sums.append(_seed(kind))
+        dens.append(1)
+    if len(sums) > m:
+        return sums
+    central = binomial(2 * len(sums), len(sums))  # C(2k, k), stepped with k below
+    for k in range(len(sums), m + 1):
+        if kind == "even":
+            num, den = 4**k, k * k * central
+        else:
+            num, den = central, 4**k * (2 * k + 1)
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        lcm = math.lcm(dens[k - 1], den)
+        sums.append(sums[k - 1] * (lcm // dens[k - 1]) + num * (lcm // den))
+        dens.append(lcm)
+        central = central * 2 * (2 * k + 1) // (k + 1)  # C(2k+2, k+1)
+    return sums
 
 
 def central_tail(kind: str, m: int) -> Fraction:
@@ -111,7 +145,8 @@ def central_tail(kind: str, m: int) -> Fraction:
         raise ValueError("central_tail('even', m) requires m >= 1")
     if kind == "odd" and m < 0:
         raise ValueError("central_tail('odd', m) requires m >= 0")
-    return _tail_partial(kind, m)
+    with _LOCK:
+        return Fraction(_grow_tails(kind, m)[m], _TAILS[kind, "lcm"][m])
 
 
 def central_tail_float(kind: str, m: int) -> float:
@@ -145,8 +180,9 @@ def central_tail_float(kind: str, m: int) -> float:
 
 _ATTACH = ("smallest", "largest")
 
-# _COUPLED[(kind, attach)][m][n]
-_COUPLED: dict[tuple[str, str], list[list[Fraction]]] = {}
+# _COUPLED[kind, attach][m - 1][n] == tail_coupled_sum(kind, m, n, attach) * D(n) * M(n)**(2m)
+# for depth m >= 1; depth 0 is the bare tail, read from _TAILS.
+_COUPLED: dict = {}
 
 
 def tail_coupled_sum(kind: str, depth: int, bound: int, attach: str = "smallest") -> Fraction:
@@ -165,30 +201,26 @@ def tail_coupled_sum(kind: str, depth: int, bound: int, attach: str = "smallest"
         raise ValueError(f"attach must be one of {_ATTACH}, got {attach!r}")
     if depth < 0 or bound < 0:
         raise ValueError("depth and bound must be nonnegative")
-    rows = _COUPLED.setdefault((kind, attach), [])
-    while len(rows) <= depth:
-        rows.append([])
-    for m in range(depth + 1):
-        row = rows[m]
-        if m == 0:
-            # Bare tails; the even series has the empty value 0 at bound 0.
+    with _LOCK:
+        sums = _grow_tails(kind, bound)
+        dens = _TAILS[kind, "lcm"]
+        if depth == 0:
+            return Fraction(sums[bound], dens[bound])
+        nested = _grow_nested(kind, depth - 1, bound)
+        lcms = _NESTED[kind, "lcm"]
+        rows = _COUPLED.setdefault((kind, attach), [])
+        while len(rows) < depth:
+            rows.append([])
+        for m in range(1, depth + 1):
+            # attach='smallest' conditions on the largest index, whose inner
+            # tuple already carries the tail (the depth m-1 row); for
+            # 'largest' the tail rides the largest index over a plain nested sum.
+            row, prev = rows[m - 1], rows[m - 2] if m > 1 else sums
             if not row:
-                row.append(Fraction(0) if kind == "even" else Fraction(1))
-            while len(row) <= bound:
-                row.append(_tail_partial(kind, len(row)))
-            continue
-        if not row:
-            row.append(Fraction(0) if kind == "even" else Fraction(1))
-        prev = rows[m - 1]
-        while len(row) <= bound:
-            n = len(row)
-            w = _index_weight(kind, n)
-            if attach == "smallest":
-                # condition on the largest index: prev already carries the tail
-                row.append(row[n - 1] + prev[n] * w)
-            else:
-                # tail rides the largest index, inner tuple is a plain nested sum
-                row.append(row[n - 1] + _tail_partial(kind, n) * nested_sum(kind, m - 1, n) * w)
-        # for attach='largest' the depth-(m-1) coupled row is not consulted,
-        # but filling rows in order keeps the cache layout uniform
-    return rows[depth][bound]
+                row.append(_seed(kind))
+            for n in range(len(row), bound + 1):
+                scale = lcms[n] // _unit(kind, n)
+                inner = prev[n] if attach == "smallest" else sums[n] * nested[m - 1][n]
+                step = (dens[n] // dens[n - 1]) * (lcms[n] // lcms[n - 1]) ** (2 * m)
+                row.append(row[n - 1] * step + inner * (scale * scale))
+        return Fraction(rows[depth - 1][bound], dens[bound] * lcms[bound] ** (2 * depth))

@@ -244,8 +244,10 @@ def linear_phase(kind: str, a: float, b: float, p, digits: int = DEFAULT_DIGITS)
     """
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    if not float(a) > 0:
-        raise ValueError(f"need a > 0, got {a}")
+    if not 0 < float(a) < math.inf:
+        raise ValueError(f"need finite a > 0, got {a}")
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
     p = _exact_unit(p)
     with mp.workdps(digits + 10):
         angle = mp.mpf(b) - _mpf_frac(p) * mp.pi / 2

@@ -74,12 +74,6 @@ def solve_first_order(problem: FirstOrderProblem, steps: int):
     return (prod_b / prod_a) * acc
 
 
-def _half_step_problem(r: Callable[[int], Any], z0: Any) -> FirstOrderProblem:
-    # The workhorse system 2n z_n = (2n-1) z_{n-1} + r_n shared by the even
-    # cosine-power rows and the coefficient cascade.
-    return FirstOrderProblem(a=lambda n: Fraction(2 * n), b=lambda n: Fraction(2 * n - 1), r=r, z0=z0)
-
-
 # ---------------------------------------------------------------------------
 # base rows
 # ---------------------------------------------------------------------------

@@ -139,6 +139,14 @@ class TestUsageErrors:
             main(["eval", "--family", "c", "--n", "1", "--p", "1", "--bogus"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--n", "--p"])
+    def test_non_integer_index(self, capsys, flag):
+        args = {"--n": "1", "--p": "1", flag: "x"}
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--family", "c", *(t for kv in args.items() for t in kv)])
+        assert err.value.code == 2
+        assert f"argument {flag}: not an integer: 'x'" in capsys.readouterr().err
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as err:
             main([])

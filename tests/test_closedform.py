@@ -116,16 +116,16 @@ class TestCoefficientCascade:
     def test_dual_route_agreement(self):
         for n in range(13):
             for p in range(13):
-                for j in range(3):
-                    if p + 1 - 2 * j < 1:
-                        continue
+                for j in range(p // 2 + 1):
                     assert coeff_via_recurrence(n, p, j) == even_branch(n, p).coeffs[j], (n, p, j)
 
     def test_unsupported_depth(self):
-        with pytest.raises(ValueError):
-            coeff_via_recurrence(1, 8, 3)
+        # every depth j <= p/2 has a cascade; only p < 2j and j < 0 are refused
+        assert coeff_via_recurrence(1, 8, 3) == even_branch(1, 8).coeffs[3]
         with pytest.raises(ValueError):
             coeff_via_recurrence(1, 2, 2)  # pi^{-1} does not exist in the expansion
+        with pytest.raises(ValueError):
+            coeff_via_recurrence(1, 2, -1)
 
 
 class TestConstantTermRoutes:

@@ -1,12 +1,19 @@
 """Euler-sum tests: DP tables against brute-force enumeration oracles."""
 
+import functools
 import itertools
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trigint import central_tail, central_tail_float, nested_sum, tail_coupled_sum
+from trigint import central_tail, central_tail_float, eulersums, nested_sum, tail_coupled_sum
 from trigint.pipoly import binomial
 
 
@@ -149,3 +156,133 @@ class TestTailCoupled:
     def test_bad_attach(self):
         with pytest.raises(ValueError):
             tail_coupled_sum("even", 1, 1, "middle")
+
+
+# --- the integer-numerator tables against plain Fraction loops ---
+
+def clear_tables() -> None:
+    """Return the tables to their import-time state: every list empty."""
+    for table in (eulersums._NESTED, eulersums._TAILS):
+        for rows in table.values():
+            rows.clear()
+    eulersums._COUPLED.clear()
+
+
+REF_DEPTH, REF_BOUND = 6, 300
+
+
+@functools.cache
+def reference_tables(kind: str):
+    """nested[j][n], coupled[attach][m][n] and tail[n] by plain Fraction prefix sums."""
+    lo = 1 if kind == "even" else 0
+    w = [Fraction(0)] * lo + [
+        Fraction(1, k * k) if kind == "even" else Fraction(1, (2 * k + 1) ** 2)
+        for k in range(lo, REF_BOUND + 1)
+    ]
+    tail = [Fraction(0)] if kind == "even" else []
+    while len(tail) <= REF_BOUND:
+        k = len(tail)
+        term = (Fraction(4**k, k * k * math.comb(2 * k, k)) if kind == "even"
+                else Fraction(math.comb(2 * k, k), 4**k * (2 * k + 1)))
+        tail.append(term + (tail[-1] if tail else 0))
+
+    def deeper(row, factor=None):
+        # sum over k <= n of row[k] * w(k) (* factor[k]); index 0 only for the odd kind
+        out, acc = [], Fraction(0)
+        for n in range(REF_BOUND + 1):
+            if n >= lo:
+                acc += row[n] * w[n] * (1 if factor is None else factor[n])
+            out.append(acc)
+        return out
+
+    nested = [[Fraction(1)] * (REF_BOUND + 1)]
+    smallest = [tail]
+    for _ in range(REF_DEPTH):
+        nested.append(deeper(nested[-1]))
+        smallest.append(deeper(smallest[-1]))
+    largest = [tail] + [deeper(nested[m - 1], tail) for m in range(1, REF_DEPTH + 1)]
+    return nested, {"smallest": smallest, "largest": largest}, tail
+
+
+_QUERY = st.tuples(
+    st.sampled_from(("nested", "smallest", "largest", "tail")),
+    st.sampled_from(("even", "odd")),
+    st.integers(0, REF_DEPTH),
+    st.integers(0, REF_BOUND),
+)
+
+
+class TestIntegerTables:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_QUERY, min_size=1, max_size=6))
+    def test_query_sequences_match_fraction_loops(self, queries):
+        clear_tables()
+        for what, kind, depth, bound in queries:
+            nested, coupled, tail = reference_tables(kind)
+            if what == "nested":
+                assert nested_sum(kind, depth, bound) == nested[depth][bound]
+            elif what == "tail":
+                assert central_tail(kind, max(bound, 1)) == tail[max(bound, 1)]
+            else:
+                assert tail_coupled_sum(kind, depth, bound, what) == coupled[what][depth][bound]
+
+    def test_tables_hold_only_lists(self):
+        # perfbench's cold reset deep-copies these dicts and compares list lengths
+        nested_sum("odd", 3, 20)
+        tail_coupled_sum("even", 2, 20, "largest")
+        central_tail("odd", 20)
+        for table in (eulersums._NESTED, eulersums._TAILS, eulersums._COUPLED):
+            assert all(isinstance(rows, list) for rows in table.values())
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_even_sums_approach_zeta_star(self, depth):
+        # zeta*({2}^j) = 2 (1 - 2**(1-2j)) zeta(2j) (Hoffman 1992); the gap
+        # to the partial sum falls like 1/n
+        with mp.workdps(40):
+            limit = 2 * (1 - mp.mpf(2) ** (1 - 2 * depth)) * mp.zeta(2 * depth)
+
+            def gap(n):
+                value = nested_sum("even", depth, n)
+                return limit - mp.mpf(value.numerator) / value.denominator
+
+            g1, g2 = gap(1000), gap(2000)
+        assert 0 < g2 < 1e-3
+        assert abs(g1 / g2 - 2) < 0.01
+
+
+class TestThreads:
+    def test_concurrent_growth_matches_single_thread(self):
+        rng = random.Random(5)
+        queries = [
+            [(rng.choice(("nested", "smallest", "largest")), rng.choice(("even", "odd")),
+              rng.randint(0, 4), rng.randint(0, 150)) for _ in range(25)]
+            for _ in range(4)
+        ]
+
+        def answer(query):
+            what, kind, depth, bound = query
+            if what == "nested":
+                return nested_sum(kind, depth, bound)
+            return tail_coupled_sum(kind, depth, bound, what)
+
+        clear_tables()
+        expected = [[answer(q) for q in qs] for qs in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                clear_tables()
+                results = [None] * len(queries)
+
+                def work(i):
+                    results[i] = [answer(q) for q in queries[i]]
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(len(queries))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert results == expected
+        finally:
+            sys.setswitchinterval(interval)

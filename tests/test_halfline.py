@@ -169,6 +169,9 @@ class TestTableEntries:
             linear_phase("cos", 0, 0.0, Fraction(1, 2))
         with pytest.raises(ValueError):
             linear_phase("cos", -1, 0.0, Fraction(1, 2))
+        for a, b in ((1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (math.inf, 0.0), (math.nan, 0.0)):
+            with pytest.raises(ValueError):
+                linear_phase("cos", a, b, Fraction(1, 2))
 
 
 class TestLogWeighted:
