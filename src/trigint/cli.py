@@ -170,7 +170,7 @@ def verify_sweep(
                     for b in b_values:
                         _, value = halfline.halfline_power(kind, n, p, b, 30)
                         oracle = integrate_halfline_osc(
-                            OscillatorySpec(kind=kind, n=n, exponent=float(p), shift=b)
+                            OscillatorySpec(kind=kind, n=n, exponent=float(p), shift=b, tolerance=tol)
                         )
                         report.add(
                             f"halfline {kind} n={n} p={p} b={b:g}",
@@ -294,7 +294,7 @@ def _cmd_halfline(args) -> int:
     verified = None
     if args.verify:
         oracle = integrate_halfline_osc(
-            OscillatorySpec(kind=args.kind, n=args.n, exponent=float(args.p), shift=args.b)
+            OscillatorySpec(kind=args.kind, n=args.n, exponent=float(args.p), shift=args.b, tolerance=args.tol)
         )
         verified = bool(oracle.converged and abs(float(value) - oracle.value) <= args.tol)
 
@@ -458,7 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # a refused input: one line, usage-error status
+        print(f"trigint {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

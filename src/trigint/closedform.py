@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import factorial
 
 from .eulersums import nested_sum, tail_coupled_sum
-from .pipoly import PiPoly, binomial
+from .pipoly import PiPoly, binomial, check_indices
 from .recurrence import cos_moment
 from .report import VerificationReport
 
@@ -71,11 +71,6 @@ class BranchExpansion:
         }
 
 
-def _check_args(n: int, p: int) -> None:
-    if n < 0 or p < 0:
-        raise ValueError("n and p must be nonnegative")
-
-
 def _assemble(powers: tuple[int, ...], coeffs: tuple[Fraction, ...], star: Fraction | None) -> PiPoly:
     cs = [Fraction(0)] * (max(powers) + 1)
     for power, c in zip(powers, coeffs):
@@ -106,9 +101,9 @@ def _star(parity: str, n: int, p: int, central: int, pf: int) -> Fraction:
 
 def star_constant(parity: str, n: int, p: int) -> Fraction:
     """The rational constant term of the branch expansion for odd p."""
+    check_indices(n=n, p=p)
     if p % 2 != 1:
         raise ValueError("the constant term exists only for odd p")
-    _check_args(n, p)
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     return _star(parity, n, p, binomial(2 * n, n), factorial(p))
@@ -116,7 +111,7 @@ def star_constant(parity: str, n: int, p: int) -> Fraction:
 
 def even_branch(n: int, p: int) -> BranchExpansion:
     """Closed-form expansion of c(2n, p)."""
-    _check_args(n, p)
+    check_indices(n=n, p=p)
     xi = p // 2
     powers = tuple(p + 1 - 2 * j for j in range(xi + 1))
     if p <= 1:
@@ -133,7 +128,7 @@ def even_branch(n: int, p: int) -> BranchExpansion:
 
 def odd_branch(n: int, p: int) -> BranchExpansion:
     """Closed-form expansion of c(2n+1, p)."""
-    _check_args(n, p)
+    check_indices(n=n, p=p)
     xi = p // 2
     powers = tuple(p - 2 * j for j in range(xi + 1))
     if p <= 1:
@@ -164,9 +159,7 @@ def coeff_via_recurrence(n: int, p: int, j: int) -> Fraction:
     forward sweep in k carries all depths together, so the cost is O(n j).
     This route never consults the nested-sum tables, so it cross-checks them.
     """
-    _check_args(n, p)
-    if j < 0:
-        raise ValueError(f"cascade depth must be nonnegative, got j={j}")
+    check_indices(n=n, p=p, j=j)
     if p + 1 - 2 * j < 1:
         raise ValueError(f"depth j={j} requires p >= {2 * j}")
     q0 = p - 2 * j

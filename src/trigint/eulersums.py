@@ -37,7 +37,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .pipoly import binomial
+from .pipoly import binomial, check_indices
 
 _KINDS = ("even", "odd")
 
@@ -96,8 +96,7 @@ def nested_sum(kind: str, depth: int, bound: int) -> Fraction:
     Depth 0 is the empty product, 1.
     """
     _check_kind(kind)
-    if depth < 0 or bound < 0:
-        raise ValueError("depth and bound must be nonnegative")
+    check_indices(depth=depth, bound=bound)
     with _LOCK:
         rows = _grow_nested(kind, depth, bound)
         return Fraction(rows[depth][bound], _NESTED[kind, "lcm"][bound] ** (2 * depth))
@@ -141,10 +140,9 @@ def central_tail(kind: str, m: int) -> Fraction:
     k = 0.  The limits are pi**2/2 and pi/2 but no finite closed form exists.
     """
     _check_kind(kind)
+    check_indices(m=m)
     if kind == "even" and m < 1:
         raise ValueError("central_tail('even', m) requires m >= 1")
-    if kind == "odd" and m < 0:
-        raise ValueError("central_tail('odd', m) requires m >= 0")
     with _LOCK:
         return Fraction(_grow_tails(kind, m)[m], _TAILS[kind, "lcm"][m])
 
@@ -199,8 +197,7 @@ def tail_coupled_sum(kind: str, depth: int, bound: int, attach: str = "smallest"
     _check_kind(kind)
     if attach not in _ATTACH:
         raise ValueError(f"attach must be one of {_ATTACH}, got {attach!r}")
-    if depth < 0 or bound < 0:
-        raise ValueError("depth and bound must be nonnegative")
+    check_indices(depth=depth, bound=bound)
     with _LOCK:
         sums = _grow_tails(kind, bound)
         dens = _TAILS[kind, "lcm"]

@@ -45,6 +45,16 @@ def _exact(value) -> Fraction:
     )
 
 
+def _check_finite(name: str, value) -> None:
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        finite = False
+    if not finite:
+        shown = value if isinstance(value, float) else "a value beyond the float range"
+        raise ValueError(f"{name} must be finite, got {shown}")
+
+
 def _exact_unit(value, name: str = "p") -> Fraction:
     p = _exact(value)
     if not _P_GUARD < float(p) < 1.0 - _P_GUARD:
@@ -159,8 +169,7 @@ def halfline_power(kind: str, n: int, p, b: float = 0.0, digits: int = DEFAULT_D
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if not math.isfinite(b):
-        raise ValueError(f"b must be finite, got {b}")
+    _check_finite("b", b)
     p = _exact_unit(p)
     terms = []
     for k in range(n + 1):
@@ -244,10 +253,10 @@ def linear_phase(kind: str, a: float, b: float, p, digits: int = DEFAULT_DIGITS)
     """
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    if not 0 < float(a) < math.inf:
-        raise ValueError(f"need finite a > 0, got {a}")
-    if not math.isfinite(b):
-        raise ValueError(f"b must be finite, got {b}")
+    _check_finite("a", a)
+    if not a > 0:
+        raise ValueError(f"need a > 0, got {a}")
+    _check_finite("b", b)
     p = _exact_unit(p)
     with mp.workdps(digits + 10):
         angle = mp.mpf(b) - _mpf_frac(p) * mp.pi / 2

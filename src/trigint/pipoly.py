@@ -39,6 +39,15 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def check_indices(**indices) -> None:
+    """Refuse a non-int index (bool included) with TypeError, a negative one with ValueError."""
+    for name, value in indices.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value

@@ -162,6 +162,12 @@ class OscillatorySpec:
             raise ValueError("need at least 8 arches")
         if not math.isfinite(self.shift):
             raise ValueError(f"shift must be finite, got {self.shift}")
+        # each arch gets tolerance / (4 max_arches), and integrate_finite
+        # resolves nothing below 1e-13
+        floor = 4e-13 * self.max_arches
+        if not self.tolerance >= floor:
+            raise ValueError(f"tolerance must be at least {floor:.3g} with {self.max_arches} arches, "
+                             f"got {self.tolerance:g}")
 
 
 def _first_zero(kind: str, b: float) -> float:

@@ -190,6 +190,20 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_halfline_tolerance_reaches_the_oracle(self, capsys):
+        # at the oracle's default 1e-6, 9 of these 48 cases missed 1e-10
+        code, out = run(capsys, "verify", "--family", "halfline", "--tol", "1e-10")
+        assert code == 0
+        assert "failed=0" in out
+
+    def test_unresolvable_tolerance_exits_two(self, capsys):
+        code = main(["verify", "--family", "halfline", "--tol", "1e-12"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("trigint verify: error: tolerance must be at least")
+
     def test_json_output(self, capsys):
         code, out = run(capsys, "verify", "--family", "complete",
                         "--max-n", "2", "--max-p", "2", "--format", "json")

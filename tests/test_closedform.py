@@ -127,6 +127,20 @@ class TestCoefficientCascade:
         with pytest.raises(ValueError):
             coeff_via_recurrence(1, 2, -1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: coeff_via_recurrence(3, 4, True),
+        lambda: coeff_via_recurrence(True, 4, 1),
+        lambda: coeff_via_recurrence(3, 4.0, 1),
+        lambda: even_branch(True, 3),
+        lambda: even_branch(2, 3.0),
+        lambda: odd_branch(1, True),
+        lambda: star_constant("even", 1, True),
+        lambda: star_constant("odd", 2.0, 3),
+    ])
+    def test_non_int_indices_refused(self, call):
+        with pytest.raises(TypeError):
+            call()
+
 
 class TestConstantTermRoutes:
     def test_used_route_matches_recurrence_and_variant_reported(self):

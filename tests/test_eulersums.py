@@ -95,6 +95,19 @@ class TestNestedSum:
         with pytest.raises(ValueError):
             nested_sum("even", -1, 1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: nested_sum("even", 2, True),
+        lambda: nested_sum("odd", False, 3),
+        lambda: nested_sum("even", 1, 2.0),
+        lambda: central_tail("odd", True),
+        lambda: central_tail("even", 2.0),
+        lambda: tail_coupled_sum("even", 1, True),
+        lambda: tail_coupled_sum("odd", True, 2, "largest"),
+    ])
+    def test_non_int_indices_refused(self, call):
+        with pytest.raises(TypeError):
+            call()
+
 
 class TestCentralTail:
     def test_frozen_values(self):

@@ -173,6 +173,15 @@ class TestTableEntries:
             with pytest.raises(ValueError):
                 linear_phase("cos", a, b, Fraction(1, 2))
 
+    def test_beyond_float_range_refused(self):
+        # an int past the float range is not finite either, not an OverflowError
+        with pytest.raises(ValueError, match="a must be finite"):
+            linear_phase("cos", 10**400, 0.0, Fraction(1, 2))
+        with pytest.raises(ValueError, match="b must be finite"):
+            linear_phase("sin", 1, -(10**400), Fraction(1, 2))
+        with pytest.raises(ValueError, match="b must be finite"):
+            halfline_power("cos", 1, Fraction(1, 2), 10**400, 30)
+
 
 class TestLogWeighted:
     def test_value_n0(self):

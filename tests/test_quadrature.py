@@ -144,3 +144,10 @@ class TestOscillatory:
         for shift in (math.nan, math.inf, -math.inf):  # named up front, not inside math.ceil
             with pytest.raises(ValueError, match="shift must be finite"):
                 OscillatorySpec(kind="cos", n=0, exponent=0.5, shift=shift)
+
+    def test_unresolvable_tolerance_refused_up_front(self):
+        # 60 arches at tolerance/240 each: below 2.4e-11 no arch could be resolved
+        assert OscillatorySpec(kind="cos", n=0, exponent=0.5, tolerance=2.4e-11).tolerance == 2.4e-11
+        for tol in (1e-12, 0.0, math.nan):
+            with pytest.raises(ValueError, match="tolerance must be at least"):
+                OscillatorySpec(kind="cos", n=0, exponent=0.5, tolerance=tol)

@@ -2,10 +2,15 @@
 
 import math
 import random
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigint import (
     FirstOrderProblem,
@@ -17,6 +22,9 @@ from trigint import (
     check_wallis_identities,
     cos_moment,
     sin_moment,
+    even_branch,
+    odd_branch,
+    recurrence,
     solve_first_order,
 )
 from trigint.pipoly import binomial
@@ -217,6 +225,88 @@ class TestCompleteFamilies:
         moment(int(n), int(p))
         with pytest.raises(TypeError):
             moment(n, p)
+
+
+def clear_moments() -> None:
+    cos_moment.cache_clear()
+    sin_moment.cache_clear()
+
+
+class TestSweep:
+    """The bottom-up sweep: deep cells, warm continuation, clearing, threads."""
+
+    @pytest.mark.parametrize("n, p", [(2400, 2), (4000, 2), (4001, 3), (2, 600)])
+    def test_deep_cells_equal_branches(self, n, p):
+        # far past any recursion limit, in either direction
+        clear_moments()
+        branch = even_branch(n // 2, p) if n % 2 == 0 else odd_branch(n // 2, p)
+        assert cos_moment(n, p) == branch.assembled
+
+    def test_cache_clear_drops_warm_state(self):
+        for moment in (cos_moment, sin_moment):
+            moment(30, 4)
+            assert recurrence._WARM
+            moment.cache_clear()
+            assert not recurrence._WARM
+            assert moment.cache_info().currsize == 0
+
+    def test_wide_cell_memory(self):
+        # p > n sweeps columns over n, so c(2, 1000) never holds a row of q-cells
+        clear_moments()
+        tracemalloc.start()
+        try:
+            cos_moment(2, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("c", "s", "clear c", "clear s")),
+                              st.integers(0, 40), st.integers(0, 40)), max_size=12))
+    def test_values_do_not_depend_on_warm_state(self, calls):
+        moments = {"c": cos_moment, "s": sin_moment}
+        clear_moments()
+        seen = []
+        for what, n, p in calls:
+            if what.startswith("clear"):
+                moments[what[-1]].cache_clear()
+            else:
+                seen.append((what, n, p, moments[what](n, p)))
+        for what, n, p, value in seen:
+            clear_moments()
+            assert moments[what](n, p) == value, (what, n, p)
+
+    def test_concurrent_sweeps_match_single_thread(self):
+        rng = random.Random(11)
+        queries = [[(rng.choice("cs"), rng.randint(0, 60), rng.randint(0, 60)) for _ in range(15)]
+                   for _ in range(4)]
+
+        def answer(query):
+            what, n, p = query
+            return (cos_moment if what == "c" else sin_moment)(n, p)
+
+        clear_moments()
+        expected = [[answer(q) for q in qs] for qs in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                clear_moments()
+                results = [None] * len(queries)
+
+                def work(i):
+                    results[i] = [answer(q) for q in queries[i]]
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(len(queries))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert results == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestWallisIdentities:
