@@ -22,25 +22,13 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 
 from . import closedform, halfline, recurrence
 from .quadrature import OscillatorySpec, integrate_finite, integrate_halfline_osc
 from .report import VerificationReport
-
-_GR_ENTRIES = (
-    "3.621.3",
-    "3.621.4",
-    "3.761.11",
-    "3.821.3",
-    "3.822.1",
-    "3.822.2",
-    "3.821.14",
-    "3.764.1",
-    "3.764.2",
-)
-
 
 def _default_digits() -> int:
     raw = os.environ.get("TRIG_ENGINE_DIGITS", "20")
@@ -120,7 +108,6 @@ def verify_sweep(
     max_n: int = 8,
     max_p: int = 8,
     tol: float = 1e-10,
-    b_values: tuple[float, ...] = (0.0, 0.5),
 ) -> VerificationReport:
     """Grid verification of exact values against independent routes.
 
@@ -167,7 +154,7 @@ def verify_sweep(
         for kind in ("cos", "sin"):
             for n in range(min(max_n, 3) + 1):
                 for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-                    for b in b_values:
+                    for b in (0.0, 0.5):
                         _, value = halfline.halfline_power(kind, n, p, b, 30)
                         oracle = integrate_halfline_osc(
                             OscillatorySpec(kind=kind, n=n, exponent=float(p), shift=b, tolerance=tol)
@@ -255,104 +242,101 @@ def verify_sweep(
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _emit(args, texts: dict, value, oracle, integral: str, params: dict, exact) -> int:
+    """Print one value in ``args.format`` and, under --verify, whether ``oracle`` confirms it.
+
+    ``texts`` maps each text format to a callable that renders the exact
+    value; ``exact`` renders it for JSON.  Returns the exit status.
+    """
+    verified = None
+    if oracle is not None:
+        verified = bool(oracle.converged and abs(float(value) - oracle.value) <= args.tol)
+    if args.format == "json":
+        payload = {
+            "integral": integral,
+            "params": params,
+            "exact": exact(),
+            "float": _nstr(value, args.digits),
+            "verified": verified,
+        }
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(_nstr(value, args.digits) if args.format == "float" else texts[args.format]())
+        if oracle is not None:
+            print(f"verified: {verified}")
+    return 0 if verified in (None, True) else 1
+
+
 def _cmd_eval(args) -> int:
     fam = {"c": "cos", "cos": "cos", "s": "sin", "sin": "sin"}[args.family]
     moment = recurrence.cos_moment if fam == "cos" else recurrence.sin_moment
     poly = moment(args.n, args.p)
     value = poly.evaluate(max(args.digits, 30))
-
-    verified = None
+    oracle = None
     if args.verify:
         oracle = integrate_finite(
             _moment_integrand(fam, args.n, args.p), 0.0, math.pi / 2, max(args.tol / 10, 1e-13)
         )
-        verified = bool(oracle.converged and abs(float(value) - oracle.value) <= args.tol)
-
     with _int_str_unlimited():
-        if args.format == "exact":
-            print(str(poly))
-        elif args.format == "latex":
-            print(poly.latex())
-        elif args.format == "float":
-            print(_nstr(value, args.digits))
-        else:
-            payload = {
-                "integral": f"{fam[0]}({args.n},{args.p})",
-                "params": {"family": fam, "n": args.n, "p": args.p},
-                "exact": poly.to_dict(),
-                "float": _nstr(value, args.digits),
-                "verified": verified,
-            }
-            print(json.dumps(payload, sort_keys=True))
-    if args.verify and args.format in ("exact", "latex", "float"):
-        print(f"verified: {verified}")
-    return 0 if verified in (None, True) else 1
+        return _emit(args, {"exact": lambda: str(poly), "latex": poly.latex}, value, oracle,
+                     f"{fam[0]}({args.n},{args.p})", {"family": fam, "n": args.n, "p": args.p}, poly.to_dict)
 
 
 def _cmd_halfline(args) -> int:
     cfs, value = halfline.halfline_power(args.kind, args.n, args.p, args.b, max(args.digits, 30))
-    verified = None
+    oracle = None
     if args.verify:
         oracle = integrate_halfline_osc(
             OscillatorySpec(kind=args.kind, n=args.n, exponent=float(args.p), shift=args.b, tolerance=args.tol)
         )
-        verified = bool(oracle.converged and abs(float(value) - oracle.value) <= args.tol)
+    params = {"kind": args.kind, "n": args.n, "p": str(args.p), "b": args.b}
+    return _emit(args, {"exact": cfs.text}, value, oracle, f"halfline-{args.kind}(n={args.n})", params, cfs.to_dict)
 
-    if args.format == "exact":
-        print(cfs.text())
-    elif args.format == "latex":
-        print(cfs.text())  # phases carry floats; one textual form serves both
-    elif args.format == "float":
-        print(_nstr(value, args.digits))
-    else:
-        payload = {
-            "integral": f"halfline-{args.kind}(n={args.n})",
-            "params": {"kind": args.kind, "n": args.n, "p": str(args.p), "b": args.b},
-            "exact": cfs.to_dict(),
-            "float": _nstr(value, args.digits),
-            "verified": verified,
-        }
-        print(json.dumps(payload, sort_keys=True))
-    if args.verify and args.format in ("exact", "latex", "float"):
-        print(f"verified: {verified}")
-    return 0 if verified in (None, True) else 1
+
+def _cos_row(index: int, p: int):
+    poly = recurrence.cos_moment(index, p)
+    return str(poly), poly.evaluate(30)
+
+
+def _gr_822_1_row(idx: int, digits: int):
+    value, cfs = halfline.gr_822_1(idx, max(digits, 30))
+    return cfs.text(), value
+
+
+def _half_row(kind: str, idx: int, digits: int):
+    cfs, value = halfline.halfline_power(kind, idx, Fraction(1, 2), 0.0, max(digits, 30))
+    return cfs.text(), value
+
+
+def _linear_row(kind: str, idx: int, digits: int):
+    if idx >= 1:  # the entry needs a > 0
+        return f"{kind}, b=0, p=1/2", halfline.linear_phase(kind, float(idx), 0.0, Fraction(1, 2), max(digits, 30))
+    return None
+
+
+# GR entry -> (parameter name, row(idx, digits) giving (exact text, value), or None to skip idx)
+_TABLE = {
+    "3.621.3": ("n", lambda idx, _: _cos_row(2 * idx, 0)),
+    "3.621.4": ("n", lambda idx, _: _cos_row(2 * idx + 1, 0)),
+    "3.761.11": ("p", lambda idx, _: _cos_row(1, idx)),
+    "3.821.3": ("n", lambda idx, _: _cos_row(idx, 1)),
+    "3.822.1": ("n", _gr_822_1_row),
+    "3.822.2": ("n", partial(_half_row, "cos")),
+    "3.821.14": ("n", partial(_half_row, "sin")),
+    "3.764.1": ("a", partial(_linear_row, "cos")),
+    "3.764.2": ("a", partial(_linear_row, "sin")),
+}
+_GR_ENTRIES = tuple(_TABLE)
 
 
 def _table_rows(entry: str, lo: int, hi: int, digits: int) -> list[dict]:
+    label, row = _TABLE[entry]
     rows = []
     for idx in range(lo, hi + 1):
-        if entry == "3.621.3":
-            poly = recurrence.cos_moment(2 * idx, 0)
-            rows.append({"entry": entry, "param": f"n={idx}", "exact": str(poly),
-                         "value": _nstr(poly.evaluate(30), digits)})
-        elif entry == "3.621.4":
-            poly = recurrence.cos_moment(2 * idx + 1, 0)
-            rows.append({"entry": entry, "param": f"n={idx}", "exact": str(poly),
-                         "value": _nstr(poly.evaluate(30), digits)})
-        elif entry == "3.761.11":
-            poly = recurrence.cos_moment(1, idx)
-            rows.append({"entry": entry, "param": f"p={idx}", "exact": str(poly),
-                         "value": _nstr(poly.evaluate(30), digits)})
-        elif entry == "3.821.3":
-            poly = recurrence.cos_moment(idx, 1)
-            rows.append({"entry": entry, "param": f"n={idx}", "exact": str(poly),
-                         "value": _nstr(poly.evaluate(30), digits)})
-        elif entry == "3.822.1":
-            value, cfs = halfline.gr_822_1(idx, max(digits, 30))
-            rows.append({"entry": entry, "param": f"n={idx}", "exact": cfs.text(),
-                         "value": _nstr(value, digits)})
-        elif entry in ("3.822.2", "3.821.14"):
-            kind = "cos" if entry == "3.822.2" else "sin"
-            cfs, value = halfline.halfline_power(kind, idx, Fraction(1, 2), 0.0, max(digits, 30))
-            rows.append({"entry": entry, "param": f"n={idx}", "exact": cfs.text(),
-                         "value": _nstr(value, digits)})
-        else:  # 3.764.1 / 3.764.2
-            kind = "cos" if entry == "3.764.1" else "sin"
-            if idx < 1:
-                continue
-            value = halfline.linear_phase(kind, float(idx), 0.0, Fraction(1, 2), max(digits, 30))
-            rows.append({"entry": entry, "param": f"a={idx}", "exact": f"{kind}, b=0, p=1/2",
-                         "value": _nstr(value, digits)})
+        cells = row(idx, digits)
+        if cells is not None:
+            rows.append({"entry": entry, "param": f"{label}={idx}", "exact": cells[0],
+                         "value": _nstr(cells[1], digits)})
     return rows
 
 
@@ -373,7 +357,7 @@ def _cmd_table(args) -> int:
 def _cmd_identities(args) -> int:
     report = VerificationReport()
     if args.check in ("wallis", "all"):
-        report.extend(recurrence.check_wallis_identities(args.max_n, expansion_max=30))
+        report.extend(recurrence.check_wallis_identities(args.max_n))
     if args.check in ("halfline", "all"):
         report.extend(halfline.check_coefficient_identity(args.max_n))
     if args.check in ("star", "all"):
@@ -423,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_half.add_argument("--n", type=_nonneg, required=True)
     p_half.add_argument("--p", type=_fraction, required=True, help="exact rational in (0,1), e.g. 1/2")
     p_half.add_argument("--b", type=_finite, default=0.0)
-    p_half.add_argument("--format", choices=("exact", "latex", "float", "json"), default="float")
+    p_half.add_argument("--format", choices=("exact", "float", "json"), default="float")
     p_half.add_argument("--digits", type=int, default=digits_default)
     p_half.add_argument("--verify", action="store_true", help="compare against the oscillatory oracle")
     p_half.add_argument("--tol", type=float, default=1e-6)

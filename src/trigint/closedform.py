@@ -39,7 +39,7 @@ from math import factorial
 
 from .eulersums import nested_sum, tail_coupled_sum
 from .pipoly import PiPoly, binomial, check_indices
-from .recurrence import cos_moment
+from .recurrence import base_p0, base_p1, cos_moment
 from .report import VerificationReport
 
 
@@ -81,9 +81,11 @@ def _assemble(powers: tuple[int, ...], coeffs: tuple[Fraction, ...], star: Fract
 
 
 def _from_base(parity: str, n: int, p: int, powers: tuple[int, ...]) -> BranchExpansion:
-    # p in {0, 1}: read the coefficients off the exactly known base rows.
+    # p in {0, 1}: read the coefficients off the closed-form base columns,
+    # which never touch the recurrence, so a branch checked against
+    # cos_moment is still checked against a second route.
     index = 2 * n if parity == "even" else 2 * n + 1
-    poly = cos_moment(index, p)
+    poly = (base_p1 if p else base_p0)(index)
     coeffs = tuple(poly.coeff(power) for power in powers)
     star = poly.coeff(0) if p % 2 == 1 else None
     return BranchExpansion(parity, n, p, powers, coeffs, star, poly)

@@ -69,12 +69,14 @@ _NESTED: dict = {"even": [], "odd": [], ("even", "lcm"): [], ("odd", "lcm"): []}
 
 
 def _grow_nested(kind: str, depth: int, bound: int) -> list[list[int]]:
+    rows = _NESTED[kind]
+    if len(rows) > depth and len(rows[depth]) > bound:
+        return rows  # a row is never longer than the one below it
     lcms = _NESTED[kind, "lcm"]
     if not lcms:
         lcms.append(1)
     for n in range(len(lcms), bound + 1):
         lcms.append(math.lcm(lcms[n - 1], _unit(kind, n)))
-    rows = _NESTED[kind]
     while len(rows) <= depth:
         rows.append([])
     rows[0].extend([1] * (bound + 1 - len(rows[0])))

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .pipoly import DEFAULT_DIGITS, binomial
+from .pipoly import DEFAULT_DIGITS, binomial, check_indices
 from .report import VerificationReport
 
 #: p closer than this to the endpoints of (0, 1) is rejected: Gamma(1-p)
@@ -167,8 +167,7 @@ def halfline_power(kind: str, n: int, p, b: float = 0.0, digits: int = DEFAULT_D
     """
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_indices(n=n)
     _check_finite("b", b)
     p = _exact_unit(p)
     terms = []
@@ -207,8 +206,7 @@ def power_arg(kind: str, n: int, p, digits: int = DEFAULT_DIGITS) -> mp.mpf:
     """
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_indices(n=n)
     if float(p) <= 1.0:
         raise ValueError(f"power_arg needs p > 1, got {p}")
     with mp.workdps(digits + 10):
@@ -233,8 +231,7 @@ def gr_822_1(n: int, digits: int = DEFAULT_DIGITS):
     ``halfline_power(cos, n, 1/2, 0)`` read in mirror order.  Returns
     (value, ClosedFormSum).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_indices(n=n)
     cfs, _ = halfline_power("cos", n, Fraction(1, 2), 0.0, digits)
     with mp.workdps(digits + 10):
         total = mp.mpf(0)
@@ -276,8 +273,7 @@ def log_weighted(n: int, digits: int = DEFAULT_DIGITS) -> mp.mpf:
         -sqrt(pi)/2**(2n+3) (pi + 2 gamma + 4 log 2) sum_k C(2n+1,n-k)/sqrt(4k+2)
         -sqrt(pi)/2**(2n+2) sum_k C(2n+1,n-k) log(2k+1)/sqrt(4k+2).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_indices(n=n)
     with mp.workdps(digits + 10):
         s_plain = mp.mpf(0)
         s_log = mp.mpf(0)
@@ -306,8 +302,7 @@ def double_log(p, q, n: int, log_kernel: bool = False, digits: int = DEFAULT_DIG
     p = q = 1/2, n = 0: the log x log y / sqrt(x y) kernel integrates to
     (gamma + 2 log 2) pi**2.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_indices(n=n)
     p = _exact_unit(p, "p")
     q = _exact_unit(q, "q")
     if log_kernel:
@@ -345,6 +340,7 @@ class MultidimResult:
 
 def multidim_log(n: int, digits: int = DEFAULT_DIGITS) -> MultidimResult:
     """Closed form of the n-dimensional log * cos(|x|^2) integral, n >= 1."""
+    check_indices(n=n)
     if n < 1:
         raise ValueError("n must be >= 1")
     delta = n * (n + 1) // 2

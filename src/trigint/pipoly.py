@@ -105,14 +105,15 @@ class PiPoly:
 
     @classmethod
     def constant(cls, value: Scalar) -> "PiPoly":
-        return cls((value,))
+        return cls.pi_power(0, value)
 
     @classmethod
     def pi_power(cls, power: int, coeff: Scalar = 1) -> "PiPoly":
-        """coeff * pi**power."""
+        """coeff * pi**power, built in integer form with no Fraction padding."""
         if power < 0:
             raise ValueError("pi_power: power must be nonnegative")
-        return cls((0,) * power + (coeff,))
+        c = _as_fraction(coeff)
+        return cls._from_ints([0] * power + [c.numerator], c.denominator)
 
     # -- structure ---------------------------------------------------------
 

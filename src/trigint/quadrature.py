@@ -31,6 +31,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence
 
+from .pipoly import check_indices
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -153,8 +155,7 @@ class OscillatorySpec:
     def __post_init__(self) -> None:
         if self.kind not in ("cos", "sin"):
             raise ValueError(f"kind must be 'cos' or 'sin', got {self.kind!r}")
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
+        check_indices(n=self.n)
         p = float(self.exponent)
         if not 0.0 <= p < 1.0:
             raise ValueError(f"exponent must lie in [0, 1), got {p}")

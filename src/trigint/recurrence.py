@@ -5,35 +5,33 @@ The two families
     c(n, p) = integral_0^{pi/2} x**p * cos(x)**n dx,
     s(n, p) = integral_0^{pi/2} x**p * sin(x)**n dx,
 
-are evaluated exactly in Q[pi].  The rows n = 0 and n = 1 are known in
-closed form, and for n >= 2 the two-variable recurrence
+are evaluated exactly in Q[pi].  Integrating x**q trig(x)**n by parts gives
+both, for n >= 2, the recurrence
 
-    c(n, q) = (n-1)/n * c(n-2, q) - q(q-1)/n**2 * c(n, q-2),   q >= 2,
-    c(n, 1) = (n-1)/n * c(n-2, 1) - 1/n**2,
-    c(n, 0) = (n-1)/n * c(n-2, 0),
+    X(n, q) = (n-1)/n * X(n-2, q) - q(q-1)/n**2 * X(n, q-2) + boundary term,
 
-ties every cell of a parity class (n mod 2, q mod 2) to the class's base
-row n0 = n mod 2.  ``cos_moment`` sweeps the class bottom-up, with no
-recursion.  Each cell is held as integer numerators over a denominator
-known in advance,
+whose boundary term is -1/n**2 at q = 1 (and 0 elsewhere) for the cosine and
+q (pi/2)**(q-1)/n**2 for the sine.  It ties every cell of a parity class
+(n mod 2, q mod 2) to the class's base row n0 = n mod 2, known in closed
+form.  Each family sweeps its own classes bottom-up, with no recursion and
+no sweep of the other family.  A cell is held as integer numerators over a
+denominator known in advance,
 
     den(n, q) = B_q * F(n) * L(n)**(2 ceil(q/2)),
 
 where F(n) and L(n) are the product and the lcm of k = n0+2, n0+4, ..., n,
 and B_q clears the base row: 2**q for odd n, and for even n 2**(q+1) times
 the lcm of q'+1 over the q' <= q of the class.  Each B_q divides the next,
-so a step of the recurrence is an integer multiply-add, and the only gcd is
-the one that reduces the value returned.  A sweep runs along the longer side
-of its rectangle: rows over q, stepped in n, when p <= n, and columns over
-n, stepped in q, when p > n.  The last cross-section of each class is kept,
-so a later call that lies further along continues from it; ``cache_clear``
-drops it together with the result cache.  The sine family follows by the
-reflection x -> pi/2 - x, summed in integers over the cells at n of both
-classes.
+so a step is an integer multiply-add, and the only gcd is the one that
+reduces the value returned.  A sweep runs along the longer side of its
+rectangle, rows over q stepped in n when p <= n and columns over n stepped
+in q when p > n, and both step with the same cell function.  The last
+cross-section of each class is kept, so a later call that lies further
+along continues from it; ``cache_clear`` drops it with the result cache.
 
-``base_p0`` and ``base_p1`` give the columns p = 0 and p = 1 in closed form
-(Wallis' formula and the central-binomial tails), independently of the
-sweep.  ``solve_first_order`` solves first-order linear recurrences
+``base_p0`` and ``base_p1`` give the cosine columns p = 0 and p = 1 in
+closed form (Wallis' formula and the central-binomial tails), independently
+of the sweep.  ``solve_first_order`` solves first-order linear recurrences
 a_n z_n = b_n z_{n-1} + r_n in closed form.
 """
 
@@ -103,8 +101,7 @@ def solve_first_order(problem: FirstOrderProblem, steps: int):
 
 def base_n0(p: int) -> PiPoly:
     """c(0, p) = (pi/2)**(p+1) / (p+1)."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+    check_indices(p=p)
     return PiPoly.pi_power(p + 1, Fraction(1, (p + 1) * 2 ** (p + 1)))
 
 
@@ -113,8 +110,7 @@ def base_p0(n: int) -> PiPoly:
 
     c(2m, 0) = pi/2**(2m+1) * C(2m, m),  c(2m+1, 0) = 2**(2m) / ((2m+1) C(2m, m)).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_indices(n=n)
     if n % 2 == 0:
         m = n // 2
         return PiPoly.pi_power(1, Fraction(binomial(2 * m, m), 2 ** (2 * m + 1)))
@@ -140,8 +136,7 @@ def base_n1(p: int) -> PiPoly:
 
         sum_{k=0..floor(p/2)} (-1)^k p!/(p-2k)! (pi/2)^(p-2k)  -  (-1)^xi p! [p odd].
     """
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+    check_indices(p=p)
     return PiPoly._from_ints(_n1_nums(p), 2**p)
 
 
@@ -155,8 +150,7 @@ def base_p1(n: int) -> PiPoly:
     of 2m z_m = (2m-1) z_{m-1} - 1/(2m) (even) and the analogous odd-index
     system, telescoped by ``solve_first_order``.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_indices(n=n)
     if n % 2 == 0:
         m = n // 2
         pref = Fraction(binomial(2 * m, m), 2 ** (2 * m + 2))
@@ -173,131 +167,128 @@ def base_p1(n: int) -> PiPoly:
 
 _LOCK = threading.Lock()
 
-# _WARM[n0, q0] is the last cross-section of the parity class (n0, q0):
-#   ("row", n, L(n), F(n), [X(n, q0), X(n, q0+2), ...])  or
-#   ("column", q, [L(n0), L(n0+2), ...], [X(n0, q), X(n0+2, q), ...]),
-# with X(n, q) = c(n, q) * den(n, q) as a list of pi-coefficient numerators.
+# _WARM[family, n0, q0] is the last cross-section of that family's parity class:
+#   ("row", n, rf(n), [X(n, q0), X(n, q0+2), ...])  or
+#   ("column", q, [rf(n0), rf(n0+2), ...], [X(n0, q), X(n0+2, q), ...]),
+# with X(n, q) = value(n, q) * den(n, q) as a list of pi-coefficient numerators
+# and rf(n) the factors of row n (see ``_rows``).
 # Cells are never mutated once built, so a read needs no lock.
 _WARM: dict = {}
 
 
-def _scales(n0: int, q0: int, top: int) -> list[int]:
-    """B_q for q = q0, q0+2, ..., top in the class (n0, q0)."""
-    out, lcm = [], 1
+def _class(family: str, n0: int, q0: int, top: int) -> list[tuple[int, int, int]]:
+    """(B_q, q(q-1) B_q/B_{q-2}, w_q) for q = q0, q0+2, ..., top in the class (n0, q0).
+
+    w_q carries the boundary term of the integration by parts over den(n, q):
+    it adds w_q F(n) (L(n)/n)**2 L(n)**(2 ceil(q/2) - 2) at pi**(q-1).
+    """
+    out, lcm, prev = [], 1, 1
     for q in range(q0, top + 1, 2):
         if n0:
-            out.append(2**q)
+            scale = 2**q
         else:
             lcm = math.lcm(lcm, q + 1)
-            out.append(2 ** (q + 1) * lcm)
-    return out
-
-
-def _base_cell(n0: int, q: int, scale: int) -> list[int]:
-    """X(n0, q) = B_q * c(n0, q) for the base row n0 in {0, 1}."""
-    if n0:
-        return _n1_nums(q)  # over B_q = 2**q already
-    return [0] * (q + 1) + [scale // ((q + 1) << (q + 1))]
-
-
-def _step_row(row: list, n: int, q0: int, scales: list[int], grow: int, m: int, f: int) -> list:
-    """Row n of X from row n-2, given grow = L(n)/L(n-2), m = L(n)/n and f = F(n)."""
-    m2 = m * m
-    a = (n - 1) * grow ** (2 * q0)
-    out = []
-    for i, old in enumerate(row):
-        if i:
-            q = q0 + 2 * i
-            a *= grow * grow
-            b = q * (q - 1) * (scales[i] // scales[i - 1]) * m2
-            out.append([a * u - b * v for u, v in zip_longest(old, out[-1], fillvalue=0)])
+            scale = 2 ** (q + 1) * lcm
+        if family == "sin":
+            weight = q * (scale >> (q - 1)) if q else 0  # + q (pi/2)**(q-1) / n**2
         else:
-            cell = [a * u for u in old]
-            if q0:  # the -1/n**2 of the q = 1 column
-                cell[0] -= scales[0] * f * m2
-            out.append(cell)
+            weight = -scale if q == 1 else 0  # - 1/n**2, at q = 1 only
+        out.append((scale, q * (q - 1) * (scale // prev), weight))
+        prev = scale
     return out
 
 
-def _first_column(n0: int, q0: int, n: int, scale: int) -> tuple[list, list[int]]:
-    """Column q0 of X up to n, and L(k) for k = n0, n0+2, ..., n."""
-    column, lcms, f = [_base_cell(n0, q0, scale)], [1], 1
-    for k in range(n0 + 2, n + 1, 2):
-        lcm = math.lcm(lcms[-1], k)
+def _base_cell(family: str, n0: int, q: int, scale: int) -> list[int]:
+    """X(n0, q) = B_q * value(n0, q) for the base row n0 in {0, 1}."""
+    if not n0:  # s(0, q) = c(0, q) = (pi/2)**(q+1) / (q+1)
+        return [0] * (q + 1) + [scale // ((q + 1) << (q + 1))]
+    if family == "cos":
+        return _n1_nums(q)  # over B_q = 2**q already
+    # s(1, q) = q c(1, q-1) by parts, and s(1, 0) = 1
+    return [2 * q * u for u in _n1_nums(q - 1)] if q else [1]
+
+
+def _rows(rf: tuple, n: int):
+    """Row factors rf(k) = (k, L(k)/L(k-2), (L(k)/k)**2, F(k), L(k)) for the
+    rows after rf's row, up to n."""
+    k, _, _, f, lcm = rf
+    for k in range(k + 2, n + 1, 2):
+        grown = math.lcm(lcm, k)
         f *= k
-        column += _step_row(column[-1:], k, q0, [scale], lcm // lcms[-1], lcm // k, f)
-        lcms.append(lcm)
-    return column, lcms
+        yield k, grown // lcm, (grown // k) ** 2, f, grown
+        lcm = grown
 
 
-def _step_column(column: list, q: int, n0: int, scale: int, beta: int, lcms: list[int]) -> list:
-    """Column q of X from column q-2, given scale = B_q and beta = q(q-1) B_q/B_{q-2}."""
-    out = [_base_cell(n0, q, scale)]
-    for i in range(1, len(column)):
-        n = n0 + 2 * i
-        a = (n - 1) * (lcms[i] // lcms[i - 1]) ** (q + q % 2)
-        b = beta * (lcms[i] // n) ** 2
-        out.append([a * u - b * v for u, v in zip_longest(out[-1], column[i], fillvalue=0)])
-    return out
+def _cell(up: list, left: list, q: int, beta: int, weight: int, rf: tuple) -> list:
+    """X(k, q) from up = X(k-2, q) and left = X(k, q-2), given rf = rf(k).
+
+    Over den(k, q) the recurrence reads
+    X(k, q) = (k-1) (L(k)/L(k-2))**e X(k-2, q) - beta (L(k)/k)**2 X(k, q-2)
+    plus the boundary term, with e = 2 ceil(q/2) and beta = q(q-1) B_q/B_{q-2}.
+    """
+    k, grow, m2, f, lcm = rf
+    e = q + q % 2
+    a, b = (k - 1) * grow**e, beta * m2
+    cell = [a * u - b * v for u, v in zip_longest(up, left, fillvalue=0)]
+    if weight:
+        cell[q - 1] += weight * f * m2 * lcm ** (e - 2)
+    return cell
 
 
-def _sweep(n: int, p: int, visit=None) -> tuple[list[int], int, int, int]:
-    """X(n, p) with B_p, L(n) and F(n), for the parity class of (n, p).
+def _sweep(family: str, n: int, p: int) -> tuple[list[int], int, tuple]:
+    """X(n, p) with B_p and rf(n), for the parity class of (n, p).
 
-    A fresh sweep fills the class's rectangle up to (n, p) along its longer
-    side.  The class's warm cross-section is continued instead when it lies
-    on the way and what is left of it costs no more cells than a fresh
-    sweep.  ``visit(q, X(n, q), B_q, L(n))``, if given, sees every q <= p of
-    the class in ascending order.  Call with ``_LOCK`` held.
+    n < 2 reads the base row.  Otherwise a fresh sweep fills the class's
+    rectangle up to (n, p) along its longer side: rows over q, stepped in n,
+    when p <= n, and columns over n, stepped in q, when p > n.  The class's
+    warm cross-section is continued instead when it lies on the way and what
+    is left of it costs no more cells than a fresh sweep.  Call with
+    ``_LOCK`` held.
     """
     n0, q0 = n % 2, p % 2
+    base = (n0, 1, 1, 1, 1)
+    if n < 2:
+        scale = _class(family, n0, q0, p)[-1][0]
+        return _base_cell(family, n0, p, scale), scale, base
     width, height = (p - q0) // 2 + 1, (n - n0) // 2 + 1
-    state = _WARM.get((n0, q0))
+    state = _WARM.get((family, n0, q0))
     kind = "row" if p <= n else "column"
     if state is not None:
-        length, left = len(state[-1]), None
-        if state[0] == "row" and state[1] <= n and length >= width:
-            left = (n - state[1]) // 2 * length
-        elif state[0] == "column" and visit is None and state[1] <= p and length >= height:
-            left = (p - state[1]) // 2 * length
-        if left is not None and left <= width * height:
+        target, size = (n, width) if state[0] == "row" else (p, height)
+        length = len(state[-1])
+        if state[1] <= target and length >= size and (target - state[1]) // 2 * length <= width * height:
             kind = state[0]
         else:
             state = None
 
+    # A fresh sweep continues the base row, or the empty column left of q0.
     if kind == "row":
         if state is None:
-            scales = _scales(n0, q0, p)
-            state = ("row", n0, 1, 1, [_base_cell(n0, q0 + 2 * i, s) for i, s in enumerate(scales)])
-        else:
-            scales = _scales(n0, q0, q0 + 2 * len(state[-1]) - 2)
-        _, k, lcm, f, row = state
-        for k in range(k + 2, n + 1, 2):
-            grown = math.lcm(lcm, k)
-            f *= k
-            row = _step_row(row, k, q0, scales, grown // lcm, grown // k, f)
-            lcm = grown
-        _WARM[n0, q0] = ("row", n, lcm, f, row)
-        if visit is not None:
-            for i in range(width):
-                visit(q0 + 2 * i, row[i], scales[i], lcm)
-        return row[width - 1], scales[width - 1], lcm, f
+            cells = [_base_cell(family, n0, q0 + 2 * i, s) for i, (s, _, _) in enumerate(_class(family, n0, q0, p))]
+            state = ("row", n0, base, cells)
+        _, _, rf, row = state
+        factors = _class(family, n0, q0, q0 + 2 * len(row) - 2)
+        for rf in _rows(rf, n):
+            left, cells = (), []
+            for i, (up, (_, beta, weight)) in enumerate(zip(row, factors)):
+                left = _cell(up, left, q0 + 2 * i, beta, weight, rf)
+                cells.append(left)
+            row = cells
+        _WARM[family, n0, q0] = ("row", n, rf, row)
+        return row[width - 1], factors[width - 1][0], rf
 
-    scales, at = _scales(n0, q0, p), height - 1
-    if state is None:
-        column, lcms = _first_column(n0, q0, n, scales[0])
-        q = q0
-        if visit is not None:
-            visit(q0, column[at], scales[0], lcms[at])
-    else:
-        _, q, lcms, column = state
+    factors = _class(family, n0, q0, p)
+    _, q, rows, column = state or ("column", q0 - 2, [base, *_rows(base, n)], [()] * height)
     for q in range(q + 2, p + 1, 2):
-        i = (q - q0) // 2
-        column = _step_column(column, q, n0, scales[i], q * (q - 1) * (scales[i] // scales[i - 1]), lcms)
-        if visit is not None:
-            visit(q, column[at], scales[i], lcms[at])
-    _WARM[n0, q0] = ("column", p, lcms, column)
-    return column[at], scales[-1], lcms[at], math.prod(range(n0 + 2, n + 1, 2))
+        scale, beta, weight = factors[(q - q0) // 2]
+        up = _base_cell(family, n0, q, scale)
+        cells = [up]
+        for left, rf in zip(column[1:], rows[1:]):
+            up = _cell(up, left, q, beta, weight, rf)
+            cells.append(up)
+        column = cells
+    _WARM[family, n0, q0] = ("column", p, rows, column)
+    return column[height - 1], factors[-1][0], rows[height - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -318,24 +309,24 @@ def _clears_warm_state(cached):
     return cached
 
 
+def _moment(family: str, n: int, p: int) -> PiPoly:
+    # The caches are typed, so a float or bool index never hits an int entry.
+    check_indices(n=n, p=p)
+    with _LOCK:
+        cell, scale, (_, _, _, f, lcm) = _sweep(family, n, p)
+    return PiPoly._from_ints(list(cell), scale * f * lcm ** (p + p % 2))
+
+
 @_clears_warm_state
 @lru_cache(maxsize=None, typed=True)
 def cos_moment(n: int, p: int) -> PiPoly:
     """Exact value of integral_0^{pi/2} x**p cos(x)**n dx in Q[pi].
 
-    n = 0 and n = 1 come straight from the base rows; n >= 2 from the
+    n = 0 and n = 1 are read off the base rows; n >= 2 comes from the
     bottom-up sweep of the recurrence over the parity class of (n, p).
     The degree in pi is at most p + 1.
     """
-    # The caches are typed, so a float or bool index never hits an int entry.
-    check_indices(n=n, p=p)
-    if n == 0:
-        return base_n0(p)
-    if n == 1:
-        return base_n1(p)
-    with _LOCK:
-        cell, scale, lcm, f = _sweep(n, p)
-    return PiPoly._from_ints(list(cell), scale * f * lcm ** (p + p % 2))
+    return _moment("cos", n, p)
 
 
 @_clears_warm_state
@@ -343,29 +334,12 @@ def cos_moment(n: int, p: int) -> PiPoly:
 def sin_moment(n: int, p: int) -> PiPoly:
     """Exact value of integral_0^{pi/2} x**p sin(x)**n dx in Q[pi].
 
-    Reflection x -> pi/2 - x turns the sine family into a binomial
-    combination of cosine values,
-    s(n, p) = sum_{k=0..p} C(p,k) (pi/2)**(p-k) (-1)**k c(n, k),
-    summed here in integers over one denominator as the sweeps of the two
-    parity classes pass the cells c(n, k).
+    The sine recurrence, with its boundary term q (pi/2)**(q-1)/n**2, is
+    swept from the base rows s(0, q) = c(0, q), s(1, q) = q c(1, q-1) and
+    s(1, 0) = 1, like ``cos_moment`` but with no cosine sweep.  The degree
+    in pi is at most p + 1.
     """
-    # The caches are typed, so a float or bool index never hits an int entry.
-    check_indices(n=n, p=p)
-    classes = range(min(p, 1) + 1)
-    top = p + p % 2
-    common = math.lcm(*(_scales(n % 2, q0, p)[-1] for q0 in classes))
-    nums = [0] * (p + 2)
-
-    def visit(k: int, cell: list[int], scale: int, lcm: int) -> None:
-        # term k over 2**p * common * F(n) * L(n)**top
-        weight = ((-1) ** k * binomial(p, k) * (common // scale) << k) * lcm ** (top - k - k % 2)
-        for j, u in enumerate(cell, p - k):
-            nums[j] += weight * u
-
-    with _LOCK:
-        for q0 in classes:
-            _, _, lcm, f = _sweep(n, p - (p - q0) % 2, visit)
-    return PiPoly._from_ints(nums, (common << p) * f * lcm**top)
+    return _moment("sin", n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +354,12 @@ def _wallis_sum(n: int) -> Fraction:
     return out
 
 
-def check_wallis_identities(n_max: int, expansion_max: int = 30) -> VerificationReport:
+def check_wallis_identities(n_max: int) -> VerificationReport:
     """Exact checks of the central-binomial sum identity and its relatives.
 
     For every n <= n_max: (i) sum_i 2**(-2i) C(n,2i) C(2i,i) equals
     2**(-n) C(2n,n); (ii) that sum satisfies f(n+1) = (2n+1)/(n+1) f(n).
-    For every n <= expansion_max: (iii) the half-angle expansion
+    For every n <= min(n_max, 30): (iii) the half-angle expansion
     c(2n, 0) = 2**(-n) sum_i C(n, 2i) c(2i, 0) holds in Q[pi].
     Failures are reported, never raised.
     """
@@ -401,7 +375,7 @@ def check_wallis_identities(n_max: int, expansion_max: int = 30) -> Verification
     for n in range(1, n_max + 1):
         holds = values[n + 1] * (n + 1) == values[n] * (2 * n + 1)
         report.add_exact(f"wallis-step n={n}", holds)
-    for n in range(1, min(expansion_max, n_max) + 1):
+    for n in range(1, min(30, n_max) + 1):
         rhs = PiPoly.zero()
         for i in range(n // 2 + 1):
             rhs = rhs + cos_moment(2 * i, 0) * Fraction(binomial(n, 2 * i), 2**n)

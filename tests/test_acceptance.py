@@ -82,7 +82,7 @@ def test_criterion_2_quadrature_agreement():
 
 def test_criterion_3_wallis_identity_sweep():
     """Central-binomial sum identity to n = 200, expansion check to n = 30."""
-    report = check_wallis_identities(200, expansion_max=30)
+    report = check_wallis_identities(200)
     ok = report.all_passed
     s = report.summary
     _report("3", ok, f"Wallis identities: {s['passed']}/{s['total']} exact checks")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigint import (
+    closedform,
     coeff_via_recurrence,
     constant_term_routes,
     cos_moment,
@@ -140,6 +141,19 @@ class TestCoefficientCascade:
     def test_non_int_indices_refused(self, call):
         with pytest.raises(TypeError):
             call()
+
+
+class TestBaseColumns:
+    def test_p_le_1_cells_do_not_read_the_recurrence(self, monkeypatch):
+        # criterion 1 compares these cells with cos_moment, so they must not come from it
+        cells = [(branch, n, p) for branch in (even_branch, odd_branch) for n in range(40) for p in (0, 1)]
+        expected = [branch(n, p) for branch, n, p in cells]
+
+        def refuse(n, p):
+            raise AssertionError("cos_moment read")
+
+        monkeypatch.setattr(closedform, "cos_moment", refuse)
+        assert [branch(n, p) for branch, n, p in cells] == expected
 
 
 class TestConstantTermRoutes:

@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from trigint import (
+    OscillatorySpec,
     check_coefficient_identity,
     check_ode_system,
     double_log,
@@ -297,3 +298,23 @@ class TestOdeSystem:
 
     def test_higher_order(self):
         assert check_ode_system(3, Fraction(1, 4), 1.0).all_passed
+
+
+class TestIndexValidation:
+    """n is an int index everywhere: bool and float are refused up front."""
+
+    CALLS = {
+        "halfline_power": lambda n: halfline_power("cos", n, Fraction(1, 2), 0.0, 20),
+        "power_arg": lambda n: power_arg("cos", n, 2, 20),
+        "gr_822_1": lambda n: gr_822_1(n, 20),
+        "log_weighted": lambda n: log_weighted(n, 20),
+        "double_log": lambda n: double_log(Fraction(1, 2), Fraction(1, 2), n, digits=20),
+        "multidim_log": lambda n: multidim_log(n, 20),
+        "OscillatorySpec": lambda n: OscillatorySpec(kind="cos", n=n, exponent=0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("n", [True, 1.0])
+    def test_non_int_n_refused(self, name, n):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            self.CALLS[name](n)

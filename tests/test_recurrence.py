@@ -138,6 +138,12 @@ class TestBaseRows:
         for p in range(0, 61):
             assert base_n1(p) == taylor_single_cos_row(p), p
 
+    @pytest.mark.parametrize("row", [base_n0, base_n1, base_p0, base_p1])
+    @pytest.mark.parametrize("index", [True, 2.0])
+    def test_non_int_index_refused(self, row, index):
+        with pytest.raises(TypeError, match="must be an integer"):
+            row(index)
+
     def test_linear_weight_row(self):
         assert base_p1(0) == PiPoly.pi_power(2, Fraction(1, 8))
         assert base_p1(1) == PiPoly([-1, Fraction(1, 2)])
@@ -167,6 +173,23 @@ class TestCompleteFamilies:
                     -p * (p - 1), n * n
                 )
                 assert lhs == rhs, (n, p)
+
+    def test_sine_recurrence_closure(self):
+        # the cosine step plus the boundary term q (pi/2)**(q-1) / n**2 of sin(pi/2) = 1
+        for n in range(2, 16):
+            for p in range(1, 16):
+                lhs = sin_moment(n, p)
+                rhs = sin_moment(n - 2, p) * Fraction(n - 1, n) + PiPoly.pi_power(
+                    p - 1, Fraction(p, n * n * 2 ** (p - 1)))
+                if p >= 2:
+                    rhs = rhs + sin_moment(n, p - 2) * Fraction(-p * (p - 1), n * n)
+                assert lhs == rhs, (n, p)
+
+    def test_sine_equals_reflection_sum(self):
+        # x -> pi/2 - x: an independent route through the cosine family
+        for n in range(31):
+            for p in range(31):
+                assert sin_moment(n, p) == reflected(cos_moment, n, p), (n, p)
 
     def test_positivity_and_monotonicity_in_n(self):
         for p in range(0, 16):
@@ -227,6 +250,19 @@ class TestCompleteFamilies:
             moment(n, p)
 
 
+def reflected(cosine, n: int, p: int) -> PiPoly:
+    """s(n, p) = sum_k C(p,k) (pi/2)**(p-k) (-1)**k c(n, k), with c(n, k) = cosine(n, k)."""
+    out = PiPoly.zero()
+    for k in range(p + 1):
+        weight = PiPoly.pi_power(p - k, Fraction((-1) ** k * binomial(p, k), 2 ** (p - k)))
+        out = out + weight * cosine(n, k)
+    return out
+
+
+def branch_value(n: int, p: int) -> PiPoly:
+    return (even_branch(n // 2, p) if n % 2 == 0 else odd_branch(n // 2, p)).assembled
+
+
 def clear_moments() -> None:
     cos_moment.cache_clear()
     sin_moment.cache_clear()
@@ -242,6 +278,19 @@ class TestSweep:
         branch = even_branch(n // 2, p) if n % 2 == 0 else odd_branch(n // 2, p)
         assert cos_moment(n, p) == branch.assembled
 
+    @pytest.mark.parametrize("n, p", [(4000, 2), (4001, 3), (2, 600)])
+    def test_deep_sine_cells_equal_reflected_branches(self, n, p):
+        clear_moments()
+        assert sin_moment(n, p) == reflected(branch_value, n, p)
+
+    def test_sine_never_sweeps_the_cosine(self):
+        clear_moments()
+        for n, p in ((30, 4), (31, 5), (4, 30), (5, 31)):
+            sin_moment(n, p)
+        assert {key[0] for key in recurrence._WARM} == {"sin"}
+        assert cos_moment.cache_info().currsize == 0
+        clear_moments()
+
     def test_cache_clear_drops_warm_state(self):
         for moment in (cos_moment, sin_moment):
             moment(30, 4)
@@ -256,6 +305,16 @@ class TestSweep:
         tracemalloc.start()
         try:
             cos_moment(2, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_wide_sine_cell_memory(self):
+        clear_moments()
+        tracemalloc.start()
+        try:
+            sin_moment(2, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
