@@ -2,9 +2,9 @@
 
 Complete integrals of x**p cos(x)**n and x**p sin(x)**n over [0, pi/2] are
 evaluated exactly as polynomials in pi with rational coefficients, through
-two independent routes (a two-variable recurrence and direct closed-form
-branch expansions) that must agree coefficient by coefficient.  Half-line
-integrals of x**(-p) trig(x+b)**(2n+1) and their log-weighted and
+two independent routes (direct closed-form branch expansions and a sweep of
+the two-variable recurrence) that must agree coefficient by coefficient.
+Half-line integrals of x**(-p) trig(x+b)**(2n+1) and their log-weighted and
 multidimensional relatives get Gamma-function closed forms.  Everything is
 checked against an adaptive / oscillatory quadrature oracle.
 """
@@ -53,6 +53,7 @@ from .recurrence import (
     cos_moment,
     sin_moment,
     solve_first_order,
+    sweep_moment,
 )
 from .report import CaseResult, VerificationReport
 
@@ -102,5 +103,6 @@ __all__ = [
     "sin_moment",
     "solve_first_order",
     "star_constant",
+    "sweep_moment",
     "tail_coupled_sum",
 ]

@@ -111,7 +111,7 @@ def verify_sweep(
 ) -> VerificationReport:
     """Grid verification of exact values against independent routes.
 
-    family='complete': branch expansions vs the recurrence evaluator
+    family='complete': branch expansions vs the recurrence sweep
     (exact), then both trig families against adaptive quadrature.
     family='halfline': closed forms against the oscillatory oracle on an
     (n, p, b) grid.  family='examples': the cross-checks tying the
@@ -122,16 +122,9 @@ def verify_sweep(
     if family == "complete":
         for n in range(max_n + 1):
             for p in range(max_p + 1):
-                exact = recurrence.cos_moment(n, p)
-                if n % 2 == 0:
-                    branch = closedform.even_branch(n // 2, p)
-                else:
-                    branch = closedform.odd_branch((n - 1) // 2, p)
-                report.add_exact(
-                    f"branch-vs-recurrence c({n},{p})",
-                    branch.assembled == exact,
-                    exact=str(exact),
-                )
+                exact = recurrence.sweep_moment("cos", n, p)
+                branch = (closedform.odd_branch if n % 2 else closedform.even_branch)(n // 2, p)
+                report.add_exact(f"branch-vs-recurrence c({n},{p})", branch.assembled == exact, exact=str(exact))
         oracle_tol = max(tol / 10, 1e-13)
         for fam, moment in (("cos", recurrence.cos_moment), ("sin", recurrence.sin_moment)):
             for n in range(max_n + 1):

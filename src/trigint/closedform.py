@@ -20,9 +20,16 @@ depth xi:
     even: (-1)^(xi+1) C(2n,n) p! / 2**(2n+p+1) * tail_coupled_sum(even, xi, n),
     odd:  (-1)^(xi+1) p! 2**(2n) / ((2n+1) C(2n,n)) * tail_coupled_sum(odd, xi, n),
 
-and with these constants the assembled expansion agrees with the recurrence
-evaluator exactly.  A depth-p variant with the tail on the largest index is
-kept available through ``constant_term_routes`` for comparison; it does NOT
+and with these constants the assembled expansion equals the recurrence sweep
+exactly.  It is the production route of ``recurrence.cos_moment``, built in
+integers over one denominator: the nested sums share M(n)**(2 xi) in the
+eulersums tables, p!/(p+1-2j)! (or p!/(p-2j)!) steps as a falling factorial,
+and for odd p the tail lcm D(n) joins.  One gcd reduces the value, and the
+``Fraction`` coefficients are built only when read.  The cells p <= 1 are
+read off the closed-form base columns ``base_p0`` and ``base_p1``.
+
+A depth-p variant of the constant with the tail on the largest index is kept
+available through ``constant_term_routes`` for comparison; it does NOT
 reproduce the recurrence values (``constant_term_routes`` reports all three
 numbers side by side rather than hiding the disagreement).
 
@@ -37,9 +44,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .eulersums import nested_sum, tail_coupled_sum
+from .eulersums import coupled_ints, nested_ints, tail_coupled_sum
 from .pipoly import PiPoly, binomial, check_indices
-from .recurrence import base_p0, base_p1, cos_moment
+from .recurrence import base_p0, base_p1, sweep_moment
 from .report import VerificationReport
 
 
@@ -47,58 +54,76 @@ from .report import VerificationReport
 class BranchExpansion:
     """One branch value c(2n+delta, p) with its pi-coefficient vector.
 
-    ``coeffs[j]`` multiplies pi**pi_powers[j]; ``star`` is the rational
-    constant term, present exactly when p is odd.  ``assembled`` is the sum
-    as a PiPoly and equals the recurrence evaluator's value exactly.
+    ``assembled`` is the value as a PiPoly and equals the recurrence sweep
+    exactly.  ``coeffs[j]`` multiplies pi**pi_powers[j]; ``star`` is the
+    rational constant term, present exactly when p is odd.  Both are read
+    off ``assembled``, whose powers they never share.
     """
 
     parity: str
     n: int
     p: int
-    pi_powers: tuple[int, ...]
-    coeffs: tuple[Fraction, ...]
-    star: Fraction | None
     assembled: PiPoly
 
+    @property
+    def pi_powers(self) -> tuple[int, ...]:
+        top = self.p + 1 if self.parity == "even" else self.p
+        return tuple(range(top, top - 2 * (self.p // 2) - 1, -2))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(self.assembled.coeff(power) for power in self.pi_powers)
+
+    @property
+    def star(self) -> Fraction | None:
+        return self.assembled.coeff(0) if self.p % 2 == 1 else None
+
     def to_dict(self) -> dict:
-        return {
-            "parity": self.parity,
-            "n": self.n,
-            "p": self.p,
-            "pi_powers": list(self.pi_powers),
-            "coeffs": [str(c) for c in self.coeffs],
-            "star": None if self.star is None else str(self.star),
-        }
+        star = None if self.star is None else str(self.star)
+        return {"parity": self.parity, "n": self.n, "p": self.p, "pi_powers": list(self.pi_powers),
+                "coeffs": [str(c) for c in self.coeffs], "star": star}
 
 
-def _assemble(powers: tuple[int, ...], coeffs: tuple[Fraction, ...], star: Fraction | None) -> PiPoly:
-    cs = [Fraction(0)] * (max(powers) + 1)
-    for power, c in zip(powers, coeffs):
-        cs[power] += c
-    if star is not None:
-        cs[0] += star
-    return PiPoly(cs)
-
-
-def _from_base(parity: str, n: int, p: int, powers: tuple[int, ...]) -> BranchExpansion:
-    # p in {0, 1}: read the coefficients off the closed-form base columns,
-    # which never touch the recurrence, so a branch checked against
-    # cos_moment is still checked against a second route.
+def _branch(parity: str, n: int, p: int) -> BranchExpansion:
+    check_indices(n=n, p=p)
     index = 2 * n if parity == "even" else 2 * n + 1
-    poly = (base_p1 if p else base_p0)(index)
-    coeffs = tuple(poly.coeff(power) for power in powers)
-    star = poly.coeff(0) if p % 2 == 1 else None
-    return BranchExpansion(parity, n, p, powers, coeffs, star, poly)
-
-
-def _star(parity: str, n: int, p: int, central: int, pf: int) -> Fraction:
-    # The constant term for odd p, given central = C(2n, n) and pf = p!.
+    if p <= 1:
+        # the closed-form base columns, which never touch the recurrence, so
+        # a branch checked against the sweep is still checked against a second route
+        return BranchExpansion(parity, n, p, (base_p1 if p else base_p0)(index))
     xi = p // 2
+    sums, lcm = nested_ints(parity, xi, n)
+    # Over den, the coefficient of pi**(top-2j) is weight_j * sums[j] * M**(2 xi - 2j),
+    # with weight_j = (-1)^j * head * top!/(top-2j)! * step**j.
     if parity == "even":
-        pref = Fraction((-1) ** (xi + 1) * central * pf, 2 ** (2 * n + p + 1))
+        top, head, step, den = p + 1, binomial(2 * n, n), 1, (p + 1) << (2 * n + p + 1)
     else:
-        pref = Fraction((-1) ** (xi + 1) * pf * 4**n, (2 * n + 1) * central)
-    return pref * tail_coupled_sum(parity, xi, n, attach="smallest")
+        top, head, step, den = p, 4**n, 4, index * binomial(2 * n, n) << p
+    weights = [head]
+    for j in range(xi):
+        weights.append(-weights[-1] * (top - 2 * j) * (top - 2 * j - 1) * step)
+    nums, square, power = [0] * (top + 1), lcm * lcm, 1
+    for j in range(xi, -1, -1):
+        nums[top - 2 * j] = weights[j] * sums[j] * power
+        power *= square
+    den *= lcm ** (2 * xi)
+    if p % 2 == 1:
+        # the constant is -2 weight_xi * tail over den * D, a falling-factorial step past xi
+        tail, tails, _ = coupled_ints(parity, xi, n)
+        nums = [u * tails for u in nums]
+        nums[0] = -2 * weights[xi] * tail
+        den *= tails
+    return BranchExpansion(parity, n, p, PiPoly._from_ints(nums, den))
+
+
+def even_branch(n: int, p: int) -> BranchExpansion:
+    """Closed-form expansion of c(2n, p)."""
+    return _branch("even", n, p)
+
+
+def odd_branch(n: int, p: int) -> BranchExpansion:
+    """Closed-form expansion of c(2n+1, p)."""
+    return _branch("odd", n, p)
 
 
 def star_constant(parity: str, n: int, p: int) -> Fraction:
@@ -108,41 +133,7 @@ def star_constant(parity: str, n: int, p: int) -> Fraction:
         raise ValueError("the constant term exists only for odd p")
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return _star(parity, n, p, binomial(2 * n, n), factorial(p))
-
-
-def even_branch(n: int, p: int) -> BranchExpansion:
-    """Closed-form expansion of c(2n, p)."""
-    check_indices(n=n, p=p)
-    xi = p // 2
-    powers = tuple(p + 1 - 2 * j for j in range(xi + 1))
-    if p <= 1:
-        return _from_base("even", n, p, powers)
-    central, pf = binomial(2 * n, n), factorial(p)
-    num, den = central * pf, 2 ** (2 * n + p + 1)
-    coeffs = tuple(
-        Fraction((-1) ** j * num, den * factorial(p + 1 - 2 * j)) * nested_sum("even", j, n)
-        for j in range(xi + 1)
-    )
-    star = _star("even", n, p, central, pf) if p % 2 == 1 else None
-    return BranchExpansion("even", n, p, powers, coeffs, star, _assemble(powers, coeffs, star))
-
-
-def odd_branch(n: int, p: int) -> BranchExpansion:
-    """Closed-form expansion of c(2n+1, p)."""
-    check_indices(n=n, p=p)
-    xi = p // 2
-    powers = tuple(p - 2 * j for j in range(xi + 1))
-    if p <= 1:
-        return _from_base("odd", n, p, powers)
-    central, pf = binomial(2 * n, n), factorial(p)
-    den = (2 * n + 1) * central * 2**p
-    coeffs = tuple(
-        Fraction((-1) ** j * pf * 4 ** (n + j), den * factorial(p - 2 * j)) * nested_sum("odd", j, n)
-        for j in range(xi + 1)
-    )
-    star = _star("odd", n, p, central, pf) if p % 2 == 1 else None
-    return BranchExpansion("odd", n, p, powers, coeffs, star, _assemble(powers, coeffs, star))
+    return _branch(parity, n, p).star
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +170,12 @@ def coeff_via_recurrence(n: int, p: int, j: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def constant_term_routes(n_max: int, p_max: int) -> VerificationReport:
-    """Compare the constant-term candidates against the recurrence value.
+    """Compare the constant-term candidates against the recurrence sweep.
 
     For every odd p <= p_max and n <= n_max (both parities) this evaluates
     (a) the tail-on-smallest-index, depth-xi sum used by the branch
     expansions, and (b) the tail-on-largest-index, depth-p variant.  Route
-    (a) must equal the constant term of the recurrence evaluator exactly;
+    (a) must equal the constant term of ``sweep_moment`` exactly;
     route (b) generally does not, and its value is recorded in the case text
     so the disagreement is visible rather than patched away.
     """
@@ -193,15 +184,10 @@ def constant_term_routes(n_max: int, p_max: int) -> VerificationReport:
         for n in range(n_max + 1):
             for p in range(1, p_max + 1, 2):
                 index = 2 * n if parity == "even" else 2 * n + 1
-                truth = cos_moment(index, p).coeff(0)
+                truth = sweep_moment("cos", index, p).coeff(0)
                 used = star_constant(parity, n, p)
-                xi = p // 2
-                if parity == "even":
-                    pref = Fraction((-1) ** xi * binomial(2 * n, n) * factorial(p), 2 ** (2 * n))
-                else:
-                    pref = Fraction(
-                        (-1) ** xi * factorial(p) * 2 ** (2 * n), (2 * n + 1) * binomial(2 * n, n)
-                    )
+                central, sign = binomial(2 * n, n), (-1) ** (p // 2) * factorial(p)
+                pref = Fraction(sign * central, 4**n) if parity == "even" else Fraction(sign * 4**n, index * central)
                 variant = pref * tail_coupled_sum(parity, p, n, attach="largest")
                 report.add_exact(
                     f"constant-term {parity} n={n} p={p}",

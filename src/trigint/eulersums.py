@@ -23,9 +23,10 @@ kind, k >= 1) or 2k+1 (odd kind, k >= 0), M(n) is the lcm of u(k) over the
 summation range up to n, and D(n) is the lcm of the denominators of the
 central-tail terms up to n.  A nested sum of depth j is stored over
 M(n)**(2j), a central tail over D(n), and a tail-coupled sum of depth m over
-D(n) * M(n)**(2m).  All of this state, the lcm lists included, lives in the
-three dicts ``_NESTED``, ``_TAILS`` and ``_COUPLED``, whose values are lists
-that start empty.
+D(n) * M(n)**(2m).  ``nested_ints`` and ``coupled_ints`` hand out that
+integer form, for callers that assemble over one denominator.  All of this
+state, the lcm lists included, lives in the three dicts ``_NESTED``,
+``_TAILS`` and ``_COUPLED``, whose values are lists that start empty.
 
 Threads.  One module lock covers the growth of the tables and the read of the
 entry, so the public functions may be called from several threads at once.
@@ -99,9 +100,16 @@ def nested_sum(kind: str, depth: int, bound: int) -> Fraction:
     """
     _check_kind(kind)
     check_indices(depth=depth, bound=bound)
+    nums, lcm = nested_ints(kind, depth, bound)
+    return Fraction(nums[depth], lcm ** (2 * depth))
+
+
+def nested_ints(kind: str, depth: int, bound: int) -> tuple[list[int], int]:
+    """The integer form of a column of nested sums: (nums, M) with
+    nested_sum(kind, j, bound) == nums[j] / M**(2j) for j = 0..depth."""
     with _LOCK:
         rows = _grow_nested(kind, depth, bound)
-        return Fraction(rows[depth][bound], _NESTED[kind, "lcm"][bound] ** (2 * depth))
+        return [row[bound] for row in rows[: depth + 1]], _NESTED[kind, "lcm"][bound]
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +208,18 @@ def tail_coupled_sum(kind: str, depth: int, bound: int, attach: str = "smallest"
     if attach not in _ATTACH:
         raise ValueError(f"attach must be one of {_ATTACH}, got {attach!r}")
     check_indices(depth=depth, bound=bound)
+    num, tails, lcm = coupled_ints(kind, depth, bound, attach)
+    return Fraction(num, tails * lcm ** (2 * depth))
+
+
+def coupled_ints(kind: str, depth: int, bound: int, attach: str = "smallest") -> tuple[int, int, int]:
+    """The integer form (num, D, M) of a tail-coupled sum: it equals
+    num / (D * M**(2 depth)), with D = D(bound) and, for depth >= 1, M = M(bound)."""
     with _LOCK:
         sums = _grow_tails(kind, bound)
         dens = _TAILS[kind, "lcm"]
         if depth == 0:
-            return Fraction(sums[bound], dens[bound])
+            return sums[bound], dens[bound], 1
         nested = _grow_nested(kind, depth - 1, bound)
         lcms = _NESTED[kind, "lcm"]
         rows = _COUPLED.setdefault((kind, attach), [])
@@ -222,4 +237,4 @@ def tail_coupled_sum(kind: str, depth: int, bound: int, attach: str = "smallest"
                 inner = prev[n] if attach == "smallest" else sums[n] * nested[m - 1][n]
                 step = (dens[n] // dens[n - 1]) * (lcms[n] // lcms[n - 1]) ** (2 * m)
                 row.append(row[n - 1] * step + inner * (scale * scale))
-        return Fraction(rows[depth - 1][bound], dens[bound] * lcms[bound] ** (2 * depth))
+        return rows[depth - 1][bound], dens[bound], lcms[bound]

@@ -79,7 +79,8 @@ class PiPoly:
         """sum nums[j] pi**j / den for den > 0, brought to canonical form."""
         while nums and not nums[-1]:
             nums.pop()
-        g = math.gcd(den, *nums)
+        # in these integrals the high powers carry the small numerators, so g shrinks early
+        g = math.gcd(den, *reversed(nums))
         if g != 1:
             den //= g
             nums = [u // g for u in nums]

@@ -5,29 +5,30 @@ The two families
     c(n, p) = integral_0^{pi/2} x**p * cos(x)**n dx,
     s(n, p) = integral_0^{pi/2} x**p * sin(x)**n dx,
 
-are evaluated exactly in Q[pi].  Integrating x**q trig(x)**n by parts gives
-both, for n >= 2, the recurrence
+are evaluated exactly in Q[pi].  ``cos_moment`` reads c(n, p) off the
+closed-form branch expansion of the parity of n (``closedform``);
+``sin_moment`` sweeps the sine recurrence.  Integrating x**q trig(x)**n by
+parts gives both families, for n >= 2, the recurrence
 
     X(n, q) = (n-1)/n * X(n-2, q) - q(q-1)/n**2 * X(n, q-2) + boundary term,
 
 whose boundary term is -1/n**2 at q = 1 (and 0 elsewhere) for the cosine and
 q (pi/2)**(q-1)/n**2 for the sine.  It ties every cell of a parity class
 (n mod 2, q mod 2) to the class's base row n0 = n mod 2, known in closed
-form.  Each family sweeps its own classes bottom-up, with no recursion and
-no sweep of the other family.  A cell is held as integer numerators over a
-denominator known in advance,
+form.  ``sweep_moment`` sweeps a family's classes bottom-up, with no
+recursion; for the cosine it is the verifier of the branches.  A cell is
+held as integer numerators over a denominator known in advance,
 
     den(n, q) = B_q * F(n) * L(n)**(2 ceil(q/2)),
 
 where F(n) and L(n) are the product and the lcm of k = n0+2, n0+4, ..., n,
 and B_q clears the base row: 2**q for odd n, and for even n 2**(q+1) times
 the lcm of q'+1 over the q' <= q of the class.  Each B_q divides the next,
-so a step is an integer multiply-add, and the only gcd is the one that
-reduces the value returned.  A sweep runs along the longer side of its
-rectangle, rows over q stepped in n when p <= n and columns over n stepped
-in q when p > n, and both step with the same cell function.  The last
-cross-section of each class is kept, so a later call that lies further
-along continues from it; ``cache_clear`` drops it with the result cache.
+so a step is an integer multiply-add, and the only gcd reduces the value
+returned.  A sweep runs along the longer side of its rectangle, rows over q
+stepped in n when p <= n and columns over n stepped in q when p > n.  The
+last cross-section of each class is kept for a later call further along;
+``sin_moment.cache_clear`` drops it with the result cache.
 
 ``base_p0`` and ``base_p1`` give the cosine columns p = 0 and p = 1 in
 closed form (Wallis' formula and the central-binomial tails), independently
@@ -297,7 +298,7 @@ def _sweep(family: str, n: int, p: int) -> tuple[list[int], int, tuple]:
 
 def _clears_warm_state(cached):
     # cache_clear also drops the sweep's cross-sections, so a cleared
-    # evaluator is cold in full.
+    # sin_moment is cold in full.
     clear = cached.cache_clear
 
     def cache_clear() -> None:
@@ -309,24 +310,34 @@ def _clears_warm_state(cached):
     return cached
 
 
-def _moment(family: str, n: int, p: int) -> PiPoly:
-    # The caches are typed, so a float or bool index never hits an int entry.
+def sweep_moment(family: str, n: int, p: int) -> PiPoly:
+    """c(n, p) (family 'cos') or s(n, p) (family 'sin') by the bottom-up sweep.
+
+    This is the verifier of ``cos_moment``'s branch route and the production
+    route of ``sin_moment``.  It has no result cache of its own; its warm
+    cross-sections are dropped by ``sin_moment.cache_clear``.
+    """
+    if family not in ("cos", "sin"):
+        raise ValueError(f"family must be 'cos' or 'sin', got {family!r}")
     check_indices(n=n, p=p)
     with _LOCK:
         cell, scale, (_, _, _, f, lcm) = _sweep(family, n, p)
     return PiPoly._from_ints(list(cell), scale * f * lcm ** (p + p % 2))
 
 
-@_clears_warm_state
 @lru_cache(maxsize=None, typed=True)
 def cos_moment(n: int, p: int) -> PiPoly:
     """Exact value of integral_0^{pi/2} x**p cos(x)**n dx in Q[pi].
 
-    n = 0 and n = 1 are read off the base rows; n >= 2 comes from the
-    bottom-up sweep of the recurrence over the parity class of (n, p).
-    The degree in pi is at most p + 1.
+    Read off the closed-form branch expansion of the parity of n,
+    ``even_branch(n // 2, p)`` or ``odd_branch(n // 2, p)``; the sweep
+    ``sweep_moment('cos', n, p)`` verifies it.  The degree in pi is at most
+    p + 1.
     """
-    return _moment("cos", n, p)
+    check_indices(n=n, p=p)  # the cache is typed, so a bool or float never hits an int entry
+    from .closedform import even_branch, odd_branch  # closedform imports this module
+
+    return (odd_branch if n % 2 else even_branch)(n // 2, p).assembled
 
 
 @_clears_warm_state
@@ -336,23 +347,14 @@ def sin_moment(n: int, p: int) -> PiPoly:
 
     The sine recurrence, with its boundary term q (pi/2)**(q-1)/n**2, is
     swept from the base rows s(0, q) = c(0, q), s(1, q) = q c(1, q-1) and
-    s(1, 0) = 1, like ``cos_moment`` but with no cosine sweep.  The degree
-    in pi is at most p + 1.
+    s(1, 0) = 1, with no cosine sweep.  The degree in pi is at most p + 1.
     """
-    return _moment("sin", n, p)
+    return sweep_moment("sin", n, p)
 
 
 # ---------------------------------------------------------------------------
 # Wallis identity checks
 # ---------------------------------------------------------------------------
-
-def _wallis_sum(n: int) -> Fraction:
-    # f(n) = sum_i 2**(-2i) C(n, 2i) C(2i, i)
-    out = Fraction(0)
-    for i in range(n // 2 + 1):
-        out += Fraction(binomial(n, 2 * i) * binomial(2 * i, i), 4**i)
-    return out
-
 
 def check_wallis_identities(n_max: int) -> VerificationReport:
     """Exact checks of the central-binomial sum identity and its relatives.
@@ -366,12 +368,12 @@ def check_wallis_identities(n_max: int) -> VerificationReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     report = VerificationReport()
-    values = [_wallis_sum(n) for n in range(n_max + 2)]
+    # f(n) = sum_i 2**(-2i) C(n, 2i) C(2i, i)
+    values = [sum(Fraction(binomial(n, 2 * i) * binomial(2 * i, i), 4**i) for i in range(n // 2 + 1))
+              for n in range(n_max + 2)]
     for n in range(1, n_max + 1):
         closed = Fraction(binomial(2 * n, n), 2**n)
-        report.add_exact(
-            f"wallis-sum n={n}", values[n] == closed, exact=f"f({n}) = {closed}"
-        )
+        report.add_exact(f"wallis-sum n={n}", values[n] == closed, exact=f"f({n}) = {closed}")
     for n in range(1, n_max + 1):
         holds = values[n + 1] * (n + 1) == values[n] * (2 * n + 1)
         report.add_exact(f"wallis-step n={n}", holds)
@@ -380,7 +382,5 @@ def check_wallis_identities(n_max: int) -> VerificationReport:
         for i in range(n // 2 + 1):
             rhs = rhs + cos_moment(2 * i, 0) * Fraction(binomial(n, 2 * i), 2**n)
         lhs = cos_moment(2 * n, 0)
-        report.add_exact(
-            f"wallis-expansion n={n}", lhs == rhs, exact=str(lhs)
-        )
+        report.add_exact(f"wallis-expansion n={n}", lhs == rhs, exact=str(lhs))
     return report

@@ -35,6 +35,7 @@ from trigint import (
     sin_moment,
 )
 from trigint.quadrature import OscillatorySpec
+from trigint.recurrence import sweep_moment
 
 
 def _report(num: str, ok: bool, desc: str) -> None:
@@ -42,16 +43,16 @@ def _report(num: str, ok: bool, desc: str) -> None:
 
 
 def test_criterion_1_exact_dual_route():
-    """Branch expansions equal the recurrence evaluator exactly, n,p <= 10."""
+    """Branch expansions equal the recurrence sweep exactly, n,p <= 10."""
     cos_moment.cache_clear()
     sin_moment.cache_clear()
     start = time.monotonic()
     mismatches = []
     for n in range(11):
         for p in range(11):
-            if even_branch(n, p).assembled != cos_moment(2 * n, p):
+            if even_branch(n, p).assembled != sweep_moment("cos", 2 * n, p):
                 mismatches.append(("even", n, p))
-            if odd_branch(n, p).assembled != cos_moment(2 * n + 1, p):
+            if odd_branch(n, p).assembled != sweep_moment("cos", 2 * n + 1, p):
                 mismatches.append(("odd", n, p))
     elapsed = time.monotonic() - start
     ok = not mismatches and elapsed < 30.0

@@ -1,5 +1,5 @@
 """Closed-form branch tests: coefficient formulas against the recurrence
-route, the cascade route, and brute-force constant-term sums."""
+sweep, the cascade route, and brute-force constant-term sums."""
 
 from fractions import Fraction
 
@@ -8,14 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigint import (
-    closedform,
     coeff_via_recurrence,
     constant_term_routes,
-    cos_moment,
     even_branch,
     odd_branch,
+    recurrence,
     star_constant,
 )
+
+
+def swept(n, p):
+    # cos_moment reads the branches, so they are checked against the sweep
+    return recurrence.sweep_moment("cos", n, p)
 
 
 class TestEvenBranch:
@@ -24,32 +28,32 @@ class TestEvenBranch:
         assert b.coeffs == (Fraction(1, 48), Fraction(-1, 8))
         assert b.pi_powers == (3, 1)
         assert b.star is None
-        assert b.assembled == cos_moment(2, 2)
+        assert b.assembled == swept(2, 2)
 
     def test_pure_power_case(self):
         b = even_branch(0, 2)
         assert b.coeffs[0] == Fraction(1, 24)
-        assert b.assembled == cos_moment(0, 2)
+        assert b.assembled == swept(0, 2)
 
     def test_delegated_wallis(self):
         b = even_branch(1, 0)
-        assert b.assembled == cos_moment(2, 0)
+        assert b.assembled == swept(2, 0)
         assert b.coeffs == (Fraction(1, 4),)
 
     def test_odd_p_star(self):
         b = even_branch(1, 1)
         assert b.star == Fraction(-1, 4)
-        assert b.assembled == cos_moment(2, 1)
+        assert b.assembled == swept(2, 1)
         b3 = even_branch(1, 3)
         assert b3.star == Fraction(3, 8)
-        assert b3.assembled == cos_moment(2, 3)
+        assert b3.assembled == swept(2, 3)
 
 
 class TestOddBranch:
     def test_spot_values(self):
-        assert odd_branch(0, 2).assembled == cos_moment(1, 2)  # pi^2/4 - 2
-        assert odd_branch(1, 1).assembled == cos_moment(3, 1)  # pi/3 - 7/9
-        assert odd_branch(0, 0).assembled == cos_moment(1, 0)  # 1
+        assert odd_branch(0, 2).assembled == swept(1, 2)  # pi^2/4 - 2
+        assert odd_branch(1, 1).assembled == swept(3, 1)  # pi/3 - 7/9
+        assert odd_branch(0, 0).assembled == swept(1, 0)  # 1
 
     def test_star_constant(self):
         assert star_constant("odd", 0, 3) == 6  # constant of c(1,3) = pi^3/8 - 3 pi + 6
@@ -60,21 +64,21 @@ class TestOddBranch:
     # must stay exact there
     @pytest.mark.parametrize("n,p", [*((n, 23) for n in range(12)), (5, 24), (2, 70)])
     def test_negative_power_of_two_cells(self, n, p):
-        assert odd_branch(n, p).assembled == cos_moment(2 * n + 1, p)
+        assert odd_branch(n, p).assembled == swept(2 * n + 1, p)
 
 
 class TestTripleAgreement:
     def test_branches_equal_recurrence(self):
         for n in range(7):
             for p in range(8):
-                assert even_branch(n, p).assembled == cos_moment(2 * n, p), ("even", n, p)
-                assert odd_branch(n, p).assembled == cos_moment(2 * n + 1, p), ("odd", n, p)
+                assert even_branch(n, p).assembled == swept(2 * n, p), ("even", n, p)
+                assert odd_branch(n, p).assembled == swept(2 * n + 1, p), ("odd", n, p)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 30), st.integers(0, 30))
     def test_branches_equal_recurrence_property(self, n, p):
-        assert even_branch(n, p).assembled == cos_moment(2 * n, p)
-        assert odd_branch(n, p).assembled == cos_moment(2 * n + 1, p)
+        assert even_branch(n, p).assembled == swept(2 * n, p)
+        assert odd_branch(n, p).assembled == swept(2 * n + 1, p)
 
     def test_numeric_agreement_with_quadrature(self):
         import math
@@ -145,14 +149,14 @@ class TestCoefficientCascade:
 
 class TestBaseColumns:
     def test_p_le_1_cells_do_not_read_the_recurrence(self, monkeypatch):
-        # criterion 1 compares these cells with cos_moment, so they must not come from it
+        # criterion 1 compares these cells with the sweep, so they must not come from it
         cells = [(branch, n, p) for branch in (even_branch, odd_branch) for n in range(40) for p in (0, 1)]
         expected = [branch(n, p) for branch, n, p in cells]
 
-        def refuse(n, p):
-            raise AssertionError("cos_moment read")
+        def refuse(*args):
+            raise AssertionError("recurrence swept")
 
-        monkeypatch.setattr(closedform, "cos_moment", refuse)
+        monkeypatch.setattr(recurrence, "_sweep", refuse)
         assert [branch(n, p) for branch, n, p in cells] == expected
 
 
@@ -181,3 +185,10 @@ class TestSerialization:
         assert d["coeffs"] == [str(c) for c in b.coeffs]
         assert d["star"] == "3/8"
         assert even_branch(1, 2).to_dict()["star"] is None
+
+    def test_coefficients_read_off_on_first_use(self):
+        # a branch is assembled in integers; its Fractions wait until read
+        for b in (even_branch(5, 7), odd_branch(5, 7), odd_branch(0, 3)):
+            assert b.assembled._fracs is None
+            assert b.star == b.assembled.coeff(0)
+            assert b.coeffs == tuple(b.assembled.coeff(k) for k in b.pi_powers)

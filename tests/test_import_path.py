@@ -11,6 +11,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 GR_ENTRIES = ("3.621.3", "3.621.4", "3.761.11", "3.821.3", "3.822.1", "3.822.2", "3.821.14",
@@ -74,3 +76,15 @@ def test_verify_loads_numpy_and_passes():
             out[" ".join(argv)] = [code, "numpy" in sys.modules]
     """)
     assert out == {" ".join(argv): [0, True] for argv in argvs}
+
+
+@pytest.mark.parametrize("module", ["recurrence", "closedform", "eulersums", "cli"])
+def test_module_imported_first(module):
+    # recurrence.cos_moment imports closedform, which imports recurrence: a
+    # circular import there shows only in an interpreter that loads it cold
+    out = run_fresh(f"""
+        import trigint.{module}
+        from trigint import recurrence
+        out["equal"] = recurrence.cos_moment(5, 3) == recurrence.sweep_moment("cos", 5, 3)
+    """)
+    assert out == {"equal": True}

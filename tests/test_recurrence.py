@@ -1,11 +1,14 @@
 """Recurrence-engine tests: solver, base rows, full families, Wallis checks."""
 
+import importlib.util
 import math
 import random
 import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -28,6 +31,8 @@ from trigint import (
     solve_first_order,
 )
 from trigint.pipoly import binomial
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 class TestSolver:
@@ -268,6 +273,20 @@ def clear_moments() -> None:
     sin_moment.cache_clear()
 
 
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def ladder_cells():
+    # every cosine rung of the exact-cold ladder, at its size and at its lowest jitter
+    ladder = load_workloads()._EXACT_LADDER
+    cells = {(n - 2 * m, p) for family, n, p in ladder if family == "c" for m in (0, n // 50)}
+    return sorted(cells) + [(4000, 2), (4001, 3), (2, 1200)]
+
+
 class TestSweep:
     """The bottom-up sweep: deep cells, warm continuation, clearing, threads."""
 
@@ -276,7 +295,27 @@ class TestSweep:
         # far past any recursion limit, in either direction
         clear_moments()
         branch = even_branch(n // 2, p) if n % 2 == 0 else odd_branch(n // 2, p)
-        assert cos_moment(n, p) == branch.assembled
+        assert recurrence.sweep_moment("cos", n, p) == branch.assembled
+
+    def test_cos_moment_equals_sweep(self):
+        clear_moments()
+        for p in range(40):
+            for n in range(40):
+                assert cos_moment(n, p) == recurrence.sweep_moment("cos", n, p), (n, p)
+        clear_moments()
+
+    @pytest.mark.parametrize("n, p", ladder_cells())
+    def test_ladder_cells_equal_sweep(self, n, p):
+        # the benchmark checks cos_moment against the branches, which are now
+        # cos_moment itself; this keeps the sweep's second opinion on its cells
+        clear_moments()
+        assert cos_moment(n, p) == recurrence.sweep_moment("cos", n, p)
+
+    def test_sweep_family_refused(self):
+        with pytest.raises(ValueError, match="family"):
+            recurrence.sweep_moment("tan", 2, 2)
+        with pytest.raises(TypeError):
+            recurrence.sweep_moment("cos", True, 2)
 
     @pytest.mark.parametrize("n, p", [(4000, 2), (4001, 3), (2, 600)])
     def test_deep_sine_cells_equal_reflected_branches(self, n, p):
@@ -291,24 +330,34 @@ class TestSweep:
         assert cos_moment.cache_info().currsize == 0
         clear_moments()
 
+    def test_cosine_never_sweeps(self):
+        clear_moments()
+        for n, p in ((30, 4), (31, 5), (4, 30), (5, 31)):
+            cos_moment(n, p)
+        assert not recurrence._WARM
+        clear_moments()
+
     def test_cache_clear_drops_warm_state(self):
-        for moment in (cos_moment, sin_moment):
-            moment(30, 4)
-            assert recurrence._WARM
-            moment.cache_clear()
-            assert not recurrence._WARM
-            assert moment.cache_info().currsize == 0
+        # sin_moment and the sweep verifier share the warm cross-sections
+        clear_moments()
+        recurrence.sweep_moment("cos", 30, 4)
+        sin_moment(30, 4)
+        assert {key[0] for key in recurrence._WARM} == {"cos", "sin"}
+        sin_moment.cache_clear()
+        assert not recurrence._WARM
+        assert sin_moment.cache_info().currsize == 0
 
     def test_wide_cell_memory(self):
         # p > n sweeps columns over n, so c(2, 1000) never holds a row of q-cells
-        clear_moments()
-        tracemalloc.start()
-        try:
-            cos_moment(2, 1000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        for moment in (cos_moment, partial(recurrence.sweep_moment, "cos")):
+            clear_moments()
+            tracemalloc.start()
+            try:
+                moment(2, 1000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6, moment
 
     def test_wide_sine_cell_memory(self):
         clear_moments()
